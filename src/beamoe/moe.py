@@ -12,19 +12,18 @@ from .tensor import (
     ContractError,
     ShapeError,
     Tensor,
+    _record,
+    _send,
     add,
-    gather_rc,
     mask_fill,
     matmul,
     mul,
-    reshape,
     rms_norm,
-    scatter_rows,
     sigmoid_np,
     silu,
     softmax,
-    take_rows,
     tsum,
+    untaped,
 )
 
 
@@ -40,6 +39,18 @@ def _silu_np(x: np.ndarray) -> np.ndarray:
 
 
 ACTIVATIONS_NP = {"silu": _silu_np, "identity": lambda x: x}
+
+
+def _silu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = sigmoid_np(x)
+    return x * s, s * (1.0 + x * (1.0 - s))
+
+
+# activation name -> (value, derivative) at a pre-activation array
+ACTIVATION_SLOPES_NP = {
+    "silu": _silu_and_slope,
+    "identity": lambda x: (x, np.ones_like(x)),
+}
 
 
 @dataclass
@@ -214,10 +225,70 @@ class MoEBlock:
     def normalize(self, h: Tensor) -> Tensor:
         return rms_norm(h, self.norm_w) if self.norm_w is not None else h
 
-    def normalize_np(self, h: np.ndarray) -> np.ndarray:
-        from .tensor import rms_norm_np
 
-        return rms_norm_np(h, self.norm_w.data) if self.norm_w is not None else h
+def grouped_glu(
+    x: Tensor,
+    weights_hat: Tensor,
+    rows_per_expert: list[np.ndarray],
+    experts: list[Expert],
+    activation: str = "silu",
+) -> Tensor:
+    """y[r] = sum_e ghat[r, e] * E_e(x[r]) over each expert's rows, as one
+    tape node.
+
+    ``rows_per_expert[e]`` lists expert e's rows, ascending and unique. Each
+    expert runs through ``expert_forward`` with recording suspended, and y
+    accumulates in ascending expert order. The backward is closed form: the
+    weight gradient (g[r] . E_e(x[r])) reaches every listed row, zero-weight
+    rows included (the straight-through mask needs it), while the expert
+    weights and x are differentiated on the rows with a nonzero weight only,
+    the rest contributing exactly zero. Those rows' gate and up projections
+    are recomputed rather than kept from the forward.
+    """
+    y = np.zeros(x.shape)
+    saved = []  # (expert id, rows, weights, outputs)
+    with untaped():
+        for e, rows in enumerate(rows_per_expert):
+            if rows.size == 0:
+                continue
+            w = weights_hat.data[rows, e]
+            o = expert_forward(Tensor._raw(x.data[rows]), experts[e], activation).data
+            y[rows] += o * w[:, None]
+            saved.append((e, rows, w, o))
+    requires_grad = (
+        x.requires_grad
+        or weights_hat.requires_grad
+        or any(p.requires_grad for e, *_ in saved for p in experts[e].tensors())
+    )
+    out = Tensor._raw(y, requires_grad)
+    act_and_slope = ACTIVATION_SLOPES_NP[activation]
+
+    def rule(g, flow):
+        g_weights = np.zeros(weights_hat.shape)
+        gx = np.zeros(x.shape)
+        for e, rows, w, o in saved:
+            g_rows = g[rows]
+            g_weights[rows, e] = (g_rows * o).sum(axis=-1)
+            live = w != 0.0
+            live_rows = rows[live]
+            ex = experts[e]
+            x_live = x.data[live_rows]
+            g_out = g_rows[live] * w[live, None]
+            gate_pre = x_live @ ex.w_gate.data
+            up = x_live @ ex.w_up.data
+            gate, slope = act_and_slope(gate_pre)
+            g_hidden = g_out @ ex.w_down.data.T
+            g_up = g_hidden * gate
+            g_gate_pre = g_hidden * up * slope
+            _send(flow, ex.w_down, (gate * up).T @ g_out)
+            _send(flow, ex.w_gate, x_live.T @ g_gate_pre)
+            _send(flow, ex.w_up, x_live.T @ g_up)
+            gx[live_rows] += g_gate_pre @ ex.w_gate.data.T + g_up @ ex.w_up.data.T
+        _send(flow, weights_hat, g_weights)
+        _send(flow, x, gx)
+
+    _record(out, rule)
+    return out
 
 
 def moe_block_forward(
@@ -237,9 +308,11 @@ def moe_block_forward(
     ``weights_hat`` may contain zeros; with all-zero weights and no shared
     experts the input is returned unchanged. ``compute_ids`` (T, C) forces
     expert evaluation for those token/expert pairs even where the weight is
-    zero, which training needs so the weight gradients exist. Per-token
-    accumulation runs in ascending expert order in every execution path, so
-    alternative dispatch routes can be compared at tight tolerances.
+    zero, which training needs so the weight gradients exist; such a closed
+    slot costs its forward only, its backward through the expert being
+    exactly zero and skipped. Per-token accumulation runs in ascending
+    expert order in every execution path, so alternative dispatch routes can
+    be compared at tight tolerances.
     """
     if np.any(weights_hat.data < 0):
         raise ContractError("expert weights must be non-negative")
@@ -252,22 +325,20 @@ def moe_block_forward(
         x_norm = rms_norm(h, norm_weight) if norm_weight is not None else h
 
     if compute_ids is not None:
-        rows_per_expert = [
-            np.nonzero((compute_ids == i).any(axis=-1))[0] for i in range(n)
-        ]
+        compute_ids = np.asarray(compute_ids, dtype=np.int64)
+        if compute_ids.size and (compute_ids.min() < 0 or compute_ids.max() >= n):
+            raise ContractError("compute_ids must lie in [0, num_experts)")
+        planned = np.zeros((t, n), dtype=bool)
+        planned[np.arange(t)[:, None], compute_ids] = True
     else:
-        rows_per_expert = [np.nonzero(weights_hat.data[:, i] != 0.0)[0] for i in range(n)]
+        planned = weights_hat.data != 0.0
+    # (N, T) row-major nonzero: rows grouped by expert, ascending within each
+    expert_of, rows = np.nonzero(planned.T)
+    bounds = np.searchsorted(expert_of, np.arange(1, n))
 
     y: Tensor | None = None
-    for i in range(n):
-        rows = rows_per_expert[i]
-        if rows.size == 0:
-            continue
-        xi = take_rows(x_norm, rows)
-        oi = expert_forward(xi, experts[i], activation)
-        wi = reshape(gather_rc(weights_hat, rows, np.full(rows.shape, i)), (rows.size, 1))
-        contrib = scatter_rows(mul(oi, wi), rows, t)
-        y = contrib if y is None else add(y, contrib)
+    if rows.size:
+        y = grouped_glu(x_norm, weights_hat, np.split(rows, bounds), experts, activation)
     for e in shared_experts:
         so = expert_forward(x_norm, e, activation)
         if shared_weight != 1.0:

@@ -1,7 +1,7 @@
 """Dense float64 arrays with tape-based reverse-mode differentiation.
 
 Just enough machinery for a small mixture-of-experts stack: matmul, masked
-softmax, sigmoid/silu, gather/scatter, rms-norm, cross-entropy, plus a
+softmax, sigmoid/silu, row gather, rms-norm, cross-entropy, plus a
 straight-through binarizer. Forward values live in numpy; every op records a
 backward rule on the active tape. With no tape active the same functions run
 forward-only, which is how inference reuses the exact training arithmetic.
@@ -12,6 +12,8 @@ reset grads between steps.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -104,7 +106,8 @@ class Tensor:
         return matmul(self, other)
 
 
-_TAPES: list["Tape"] = []
+# Innermost last; a None entry (see ``untaped``) suspends recording.
+_TAPES: list["Tape | None"] = []
 
 
 class Tape:
@@ -149,6 +152,20 @@ class Tape:
 
 def _active_tape() -> Tape | None:
     return _TAPES[-1] if _TAPES else None
+
+
+@contextmanager
+def untaped():
+    """Run ops forward-only inside an active tape: nothing is recorded.
+
+    For fused ops that evaluate taped building blocks for their values and
+    record one node of their own with a closed-form backward.
+    """
+    _TAPES.append(None)
+    try:
+        yield
+    finally:
+        _TAPES.pop()
 
 
 def _record(out: Tensor, rule) -> None:
@@ -331,7 +348,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
+# gather
 # ---------------------------------------------------------------------------
 
 
@@ -347,38 +364,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     def rule(g, flow):
         gx = np.zeros(shape)
         np.add.at(gx, idx, g)
-        _send(flow, x, gx)
-
-    _record(out, rule)
-    return out
-
-
-def scatter_rows(values: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
-    """Inverse of take_rows for unique indices: out[idx[i]] += values[i]."""
-    values = _as_tensor(values)
-    idx = np.asarray(idx, dtype=np.int64)
-    out_data = np.zeros((num_rows,) + values.data.shape[1:])
-    np.add.at(out_data, idx, values.data)
-    out = Tensor._raw(out_data, values.requires_grad)
-
-    def rule(g, flow):
-        _send(flow, values, g[idx])
-
-    _record(out, rule)
-    return out
-
-
-def gather_rc(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Elementwise pick out[i] = x[rows[i], cols[i]] from a 2-d tensor."""
-    x = _as_tensor(x)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor._raw(x.data[rows, cols], x.requires_grad)
-    shape = x.data.shape
-
-    def rule(g, flow):
-        gx = np.zeros(shape)
-        np.add.at(gx, (rows, cols), g)
         _send(flow, x, gx)
 
     _record(out, rule)

@@ -110,7 +110,9 @@ class TrainConfig:
         return self.learning_rate * (1.0 - (step - warmup) / remaining)
 
 
-TRACE_HEADER = "step,lm_loss,bal_loss,reg_loss,total_loss,expert_active_rate,learning_rate"
+TRACE_HEADER = (
+    "step,lm_loss,bal_loss,reg_loss,total_loss,expert_active_rate,learning_rate,grad_norm"
+)
 
 
 @dataclass
@@ -122,11 +124,13 @@ class TraceRow:
     total_loss: float
     expert_active_rate: float
     learning_rate: float
+    grad_norm: float  # global gradient norm before clipping
 
     def to_csv(self) -> str:
         return (
             f"{self.step},{self.lm_loss!r},{self.bal_loss!r},{self.reg_loss!r},"
-            f"{self.total_loss!r},{self.expert_active_rate!r},{self.learning_rate!r}"
+            f"{self.total_loss!r},{self.expert_active_rate!r},{self.learning_rate!r},"
+            f"{self.grad_norm!r}"
         )
 
 
@@ -365,7 +369,7 @@ def train(
             tape.backward(loss)
 
         good = model.snapshot()
-        clip_gradients(params, train_cfg.grad_clip_norm)
+        grad_norm = float(clip_gradients(params, train_cfg.grad_clip_norm))
         opt.step(lr)
         for p in params:
             p.zero_grad()
@@ -382,6 +386,7 @@ def train(
                 total_loss=float(loss.data),
                 expert_active_rate=active_rate,
                 learning_rate=lr,
+                grad_norm=grad_norm,
             )
         )
     return model, rows

@@ -234,7 +234,7 @@ def test_criterion_05_sparsity_beta_trend(study):
     report(
         5,
         f"median avg_k by beta {dict(zip(BETAS, [round(m, 4) for m in medians]))}, "
-        f"study cpu = {study['cpu_seconds']:.0f}s",
+        f"study cpu = {study['cpu_seconds']:.0f}s, wall = {study['wall_seconds']:.0f}s",
         t0,
     )
 

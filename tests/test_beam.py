@@ -315,3 +315,41 @@ class TestBeamBlockForward:
         out, dec, maskdec = beam_block_forward(h2, block, training=False)
         assert np.all(maskdec.binary_mask == 0)
         assert np.array_equal(out.data, h2.data)
+
+
+class TestBeamFiniteDifferences:
+    def test_closed_masks_gradient_matches_finite_differences(self):
+        # A saturated mask router (|pre-activation| >= 40 everywhere) closes
+        # some top-k candidates while its sigmoid slope, and with it the
+        # straight-through term that no finite difference sees, is below
+        # 1e-17. The mask router itself is not checked: its STE gradient is
+        # not a derivative.
+        from beamoe.baselines import RoutingStrategy, block_forward
+        from beamoe.tensor import check_gradient, cross_entropy
+
+        strategy = RoutingStrategy("beam")
+        worst = 0.0
+        for seed in range(3):
+            rng = np.random.default_rng(300 + seed)
+            block = tiny_block(rng, d_h=6, d_ff=5, n=5, k=3, num_shared=1, has_norm=True)
+            block.mask_router.weight.data[...] = rng.normal(0, 1e4, (6, 5))
+            h = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+            targets = rng.integers(0, 6, size=7)
+            head = Tensor(rng.normal(0, 1.0, (6, 6)))
+
+            x_n = block.normalize(h)
+            a = mask_forward(x_n, block.mask_router).pre_activation.data
+            assert np.min(np.abs(a)) >= 40.0
+            rr = block_forward(h, block, strategy, training=True)[1]
+            closed = int((rr.active_bits == 0).sum())
+            assert 0 < closed < rr.active_bits.size
+
+            def f():
+                out, _ = block_forward(h, block, strategy, training=True)
+                return cross_entropy(out @ head, targets)
+
+            params = [h, block.router_w, block.norm_w] + [
+                w for e in block.experts + block.shared for w in e.tensors()
+            ]
+            worst = max(worst, check_gradient(f, params, epsilon=1e-5, rng=rng, max_coords=6))
+        assert worst < 1e-4

@@ -12,11 +12,51 @@ from beamoe.moe import (
     topk_route,
     topk_select,
 )
-from beamoe.tensor import ContractError, Tape, Tensor, check_gradient, mul, rms_norm, tsum
+from beamoe.tensor import (
+    ContractError,
+    Tape,
+    Tensor,
+    add,
+    check_gradient,
+    mul,
+    reshape,
+    rms_norm,
+    take_rows,
+    tsum,
+)
+
+from reference_ops import gather_rc, scatter_rows
 
 
 def make_expert(d_h, d_ff, rng, std=0.5):
     return Expert.init_random(d_h, d_ff, rng, std)
+
+
+def per_expert_moe_block_forward(
+    h, weights_hat, experts, shared_experts=(), *, norm_weight=None,
+    activation="silu", compute_ids=None,
+):
+    """Reference: moe_block_forward composed of primitive tape ops, one
+    expert at a time (take_rows -> expert_forward -> gather_rc -> mul ->
+    scatter_rows -> add), every planned row differentiated through the tape."""
+    t, n = weights_hat.shape
+    x_norm = rms_norm(h, norm_weight) if norm_weight is not None else h
+    y = None
+    for i in range(n):
+        if compute_ids is not None:
+            rows = np.nonzero((compute_ids == i).any(axis=-1))[0]
+        else:
+            rows = np.nonzero(weights_hat.data[:, i] != 0.0)[0]
+        if rows.size == 0:
+            continue
+        oi = expert_forward(take_rows(x_norm, rows), experts[i], activation)
+        wi = reshape(gather_rc(weights_hat, rows, np.full(rows.shape, i)), (rows.size, 1))
+        contrib = scatter_rows(mul(oi, wi), rows, t)
+        y = contrib if y is None else add(y, contrib)
+    for e in shared_experts:
+        so = expert_forward(x_norm, e, activation)
+        y = so if y is None else add(y, so)
+    return h if y is None else add(h, y)
 
 
 class TestConfig:
@@ -257,3 +297,79 @@ class TestMoeBlockForward:
         for p in params:
             p.requires_grad = True
         assert check_gradient(f, params, epsilon=1e-5, max_coords=8) < 1e-4
+
+
+class TestGroupedGluOracle:
+    """moe_block_forward against the per-expert tape composition: forward
+    bit-equal, every gradient within 1e-12 relative."""
+
+    T, D_H, D_FF, N = 9, 5, 6, 5
+
+    def _case(self, seed, num_shared):
+        rng = np.random.default_rng(seed)
+        t, n = self.T, self.N
+        experts = [make_expert(self.D_H, self.D_FF, rng) for _ in range(n)]
+        shared = [make_expert(self.D_H, self.D_FF, rng) for _ in range(num_shared)]
+        h = Tensor(rng.normal(size=(t, self.D_H)), requires_grad=True)
+        norm_w = Tensor(rng.uniform(0.5, 1.5, self.D_H), requires_grad=True)
+        # expert 4 is never a candidate; expert 3 is a candidate of token 0
+        # only, where its slot is closed
+        compute_ids = np.stack([rng.choice(3, size=2, replace=False) for _ in range(t)])
+        compute_ids[0, 1] = 3
+        weights = np.zeros((t, n))
+        np.put_along_axis(weights, compute_ids, rng.uniform(0.1, 1.0, compute_ids.shape), -1)
+        weights[0, 3] = 0.0
+        weights[1, compute_ids[1, 0]] = 0.0  # closed slots of an otherwise live expert
+        weights[4, compute_ids[4]] = 0.0
+        weights_hat = Tensor(weights, requires_grad=True)
+        upstream = rng.normal(size=(t, self.D_H))
+        return h, norm_w, weights_hat, experts, shared, compute_ids, upstream
+
+    @staticmethod
+    def _run(fn, params, upstream, **kw):
+        for p in params:
+            p.grad = None
+        with Tape() as tape:
+            out = fn(**kw)
+            tape.backward(tsum(mul(out, Tensor(upstream))))
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+        return out.data, grads
+
+    @pytest.mark.parametrize("activation", ["silu", "identity"])
+    @pytest.mark.parametrize("num_shared", [0, 1])
+    @pytest.mark.parametrize("use_compute_ids", [True, False])
+    def test_matches_per_expert_composition(self, activation, num_shared, use_compute_ids):
+        h, norm_w, weights_hat, experts, shared, compute_ids, upstream = self._case(
+            20 + num_shared, num_shared
+        )
+        params = [h, norm_w, weights_hat] + [w for e in experts + shared for w in e.tensors()]
+        for p in params:
+            p.requires_grad = True
+        kw = dict(
+            h=h, weights_hat=weights_hat, experts=experts, shared_experts=shared,
+            norm_weight=norm_w, activation=activation,
+            compute_ids=compute_ids if use_compute_ids else None,
+        )
+        ref_out, ref_grads = self._run(per_expert_moe_block_forward, params, upstream, **kw)
+        out, grads = self._run(moe_block_forward, params, upstream, **kw)
+        assert np.array_equal(out, ref_out)
+        for ref, got in zip(ref_grads, grads):
+            scale = np.max(np.abs(ref)) if ref.size else 0.0
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * max(scale, 1e-300)
+        # closed slots still carry the straight-through weight gradient
+        if use_compute_ids:
+            assert weights_hat.grad[0, 3] != 0.0
+            assert np.all(weights_hat.grad[4, compute_ids[4]] != 0.0)
+        # a never-planned expert gets no gradient at all; a planned one whose
+        # slots are all closed gets an exact zero
+        assert experts[4].w_up.grad is None
+        if use_compute_ids:
+            assert np.all(experts[3].w_up.grad == 0.0)
+
+    def test_out_of_range_compute_ids_rejected(self):
+        h, norm_w, weights_hat, experts, _, compute_ids, _ = self._case(20, 0)
+        for bad in (-1, self.N):
+            ids = compute_ids.copy()
+            ids[2, 0] = bad
+            with pytest.raises(ContractError):
+                moe_block_forward(h, weights_hat, experts, compute_ids=ids)

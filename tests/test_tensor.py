@@ -13,14 +13,12 @@ from beamoe.tensor import (
     check_gradient,
     cross_entropy,
     div,
-    gather_rc,
     mask_fill,
     matmul,
     mean,
     mul,
     reshape,
     rms_norm,
-    scatter_rows,
     sigmoid,
     silu,
     slice_cols,
@@ -28,7 +26,10 @@ from beamoe.tensor import (
     take_rows,
     transpose,
     tsum,
+    untaped,
 )
+
+from reference_ops import gather_rc, scatter_rows
 
 
 def backward(expr_fn, *tensors):
@@ -242,6 +243,15 @@ class TestTapeSemantics:
         with Tape() as tape:
             pass
         assert tape.nodes == []
+
+    def test_untaped_suspends_recording_inside_a_tape(self):
+        t = Tensor([2.0], requires_grad=True)
+        with Tape() as tape:
+            with untaped():
+                inner = mul(t, t)
+            out = mul(t, 3.0)
+        assert inner.data[0] == 4.0
+        assert [node for node, _ in tape.nodes] == [out]
 
 
 class TestCheckGradient:

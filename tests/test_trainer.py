@@ -151,6 +151,28 @@ class TestTrainLoop:
         _, rows_b = train(cfg, tc, ids)
         assert [r.to_csv() for r in rows_a] == [r.to_csv() for r in rows_b]
 
+    def test_trace_records_pre_clip_grad_norm(self, corpus, monkeypatch, tmp_path):
+        import beamoe.trainer as trainer_mod
+        from beamoe.trainer import TRACE_HEADER, write_trace
+
+        norms = []
+
+        def recording_clip(params, max_norm):
+            norms.append(clip_gradients(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(trainer_mod, "clip_gradients", recording_clip)
+        ids, vocab = corpus
+        _, rows = train(small_model_cfg(len(vocab), RoutingStrategy("beam")), small_train_cfg(), ids)
+        assert len(norms) == len(rows)
+        assert [r.grad_norm for r in rows] == norms
+        assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0 for r in rows)
+        path = tmp_path / "trace.csv"
+        write_trace(rows, path)
+        header, first = path.read_text().splitlines()[:2]
+        assert header == TRACE_HEADER and header.endswith(",learning_rate,grad_norm")
+        assert float(first.split(",")[-1]) == rows[0].grad_norm
+
     def test_beam_step0_matches_vanilla_exactly(self, corpus):
         ids, vocab = corpus
         tc = small_train_cfg(steps=1)

@@ -13,7 +13,45 @@ from .tensor import ContractError
 
 PHASES = ("prefill", "decode")
 TRACE_HEADER = ["sequence_id", "position", "layer", "rank", "expert_id", "mask_bit", "phase", "token_id"]
+_INT_COLUMNS = [name for name in TRACE_HEADER if name != "phase"]
+_BITS = frozenset((0, 1))
 GROUP_KEYS = ("overall", "layer", "token_position", "phase", "token_id", "token_layer")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _per_cell(value, n: int):
+    """A per-cell field of a recorded block: an int, or an int64 array of n."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    column = np.array(value, dtype=np.int64)
+    if column.ndim == 0:
+        return int(column)
+    if column.shape != (n,):
+        raise ContractError(f"per-cell field of shape {column.shape} for {n} cells")
+    return column
+
+
+def _block_columns(n, sequence_id, position, layer, expert_ids, mask_bits, phase, token_id):
+    """Row columns of one recorded block: cell-major, ranks 1..K in a cell."""
+    k = expert_ids.shape[-1]
+
+    def per_row(value):
+        return np.repeat(np.broadcast_to(np.asarray(value, dtype=np.int64), (n,)), k)
+
+    return {
+        "sequence_id": per_row(sequence_id),
+        "position": per_row(position),
+        "layer": np.full(n * k, layer, dtype=np.int64),
+        "rank": np.tile(np.arange(1, k + 1, dtype=np.int64), n),
+        "expert_id": expert_ids.reshape(-1),
+        "mask_bit": mask_bits.reshape(-1).astype(np.int64),
+        "phase": np.full(n * k, phase),
+        "token_id": per_row(token_id),
+    }
 
 
 class SparsityTrace:
@@ -23,92 +61,126 @@ class SparsityTrace:
     being the highest-weight candidate. ``expert_id`` is -1 for slots that
     route to nothing (null experts); ``mask_bit`` says whether the slot
     actually executed.
+
+    Rows are numpy columns, one per ``TRACE_HEADER`` field. ``record_cell``
+    only queues a copy of its block; the first read (``arrays()``, a column
+    attribute, ``k``, ``to_csv``) appends the queue to the columns, which
+    stay cached and read-only until the next ``record_cell``.
     """
 
     def __init__(self):
-        self.sequence_id: list[int] = []
-        self.position: list[int] = []
-        self.layer: list[int] = []
-        self.rank: list[int] = []
-        self.expert_id: list[int] = []
-        self.mask_bit: list[int] = []
-        self.phase: list[str] = []
-        self.token_id: list[int] = []
+        self._columns: dict[str, np.ndarray] | None = None
+        self._pending: list[tuple] = []
+        self._rows = 0
 
     def __len__(self) -> int:
-        return len(self.rank)
+        return self._rows
 
     def record_cell(self, sequence_id, position, layer, expert_ids, mask_bits, phase, token_id):
+        """Record one cell, or a block of n cells of one layer and phase.
+
+        ``expert_ids`` and ``mask_bits`` have shape (K,) for one cell or
+        (n, K) for n cells, ranks in order; ``sequence_id``, ``position`` and
+        ``token_id`` are scalars or hold one entry per cell.
+        """
         if phase not in PHASES:
             raise ContractError(f"unknown phase {phase!r}")
-        for r, (eid, bit) in enumerate(zip(expert_ids, mask_bits), start=1):
-            self.sequence_id.append(int(sequence_id))
-            self.position.append(int(position))
-            self.layer.append(int(layer))
-            self.rank.append(r)
-            self.expert_id.append(int(eid))
-            self.mask_bit.append(int(bit))
-            self.phase.append(phase)
-            self.token_id.append(int(token_id))
+        expert_ids = np.array(expert_ids, dtype=np.int64)
+        mask_bits = np.array(mask_bits)
+        if expert_ids.shape != mask_bits.shape or expert_ids.ndim not in (1, 2):
+            raise ContractError(
+                f"expert_ids {expert_ids.shape} and mask_bits {mask_bits.shape}"
+                " must share one (K,) or (n, K) shape"
+            )
+        if not _BITS.issuperset(mask_bits.ravel().tolist()):
+            raise ContractError("mask_bits must be 0 or 1")
+        n = len(expert_ids) if expert_ids.ndim == 2 else 1
+        block = (
+            n,
+            _per_cell(sequence_id, n),
+            _per_cell(position, n),
+            int(layer),
+            expert_ids,
+            mask_bits,
+            phase,
+            _per_cell(token_id, n),
+        )
+        if expert_ids.size:
+            self._pending.append(block)
+            self._rows += expert_ids.size
+
+    def _consolidated(self) -> dict[str, np.ndarray]:
+        if self._pending:
+            blocks = [_block_columns(*block) for block in self._pending]
+            if self._columns is not None:
+                blocks.insert(0, self._columns)
+            self._columns = {
+                name: _frozen(np.concatenate([b[name] for b in blocks])) for name in TRACE_HEADER
+            }
+            self._pending = []
+        elif self._columns is None:
+            self._columns = {name: _frozen(np.zeros(0, dtype=np.int64)) for name in TRACE_HEADER}
+            self._columns["phase"] = _frozen(np.zeros(0, dtype=str))
+        return self._columns
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "sequence_id": np.asarray(self.sequence_id, dtype=np.int64),
-            "position": np.asarray(self.position, dtype=np.int64),
-            "layer": np.asarray(self.layer, dtype=np.int64),
-            "rank": np.asarray(self.rank, dtype=np.int64),
-            "expert_id": np.asarray(self.expert_id, dtype=np.int64),
-            "mask_bit": np.asarray(self.mask_bit, dtype=np.int64),
-            "phase": np.asarray(self.phase),
-            "token_id": np.asarray(self.token_id, dtype=np.int64),
-        }
+        """The columns by name: int64, and a str array for ``phase``. The
+        arrays are read-only views of the trace's own storage."""
+        return dict(self._consolidated())
+
+    sequence_id = property(lambda self: self._consolidated()["sequence_id"])
+    position = property(lambda self: self._consolidated()["position"])
+    layer = property(lambda self: self._consolidated()["layer"])
+    rank = property(lambda self: self._consolidated()["rank"])
+    expert_id = property(lambda self: self._consolidated()["expert_id"])
+    mask_bit = property(lambda self: self._consolidated()["mask_bit"])
+    phase = property(lambda self: self._consolidated()["phase"])
+    token_id = property(lambda self: self._consolidated()["token_id"])
 
     @property
     def k(self) -> int:
-        return max(self.rank) if self.rank else 0
+        return int(self.rank.max()) if self._rows else 0
 
     def to_csv(self, path) -> None:
+        columns = self._consolidated()
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(TRACE_HEADER)
-            for i in range(len(self)):
-                w.writerow(
-                    [
-                        self.sequence_id[i],
-                        self.position[i],
-                        self.layer[i],
-                        self.rank[i],
-                        self.expert_id[i],
-                        self.mask_bit[i],
-                        self.phase[i],
-                        self.token_id[i],
-                    ]
-                )
+            w.writerows(zip(*(columns[name].tolist() for name in TRACE_HEADER)))
 
     @classmethod
     def from_csv(cls, path) -> "SparsityTrace":
-        trace = cls()
+        numbers: list[int] = []  # row after row, every column but phase
+        phases: list[str] = []
+        extend, append = numbers.extend, phases.append
         with open(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
             if header != TRACE_HEADER:
                 raise ContractError(f"unexpected trace header in {path}")
             for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(TRACE_HEADER):
-                    raise ContractError(f"malformed trace row {lineno} in {path}")
                 try:
-                    trace.sequence_id.append(int(row[0]))
-                    trace.position.append(int(row[1]))
-                    trace.layer.append(int(row[2]))
-                    trace.rank.append(int(row[3]))
-                    trace.expert_id.append(int(row[4]))
-                    trace.mask_bit.append(int(row[5]))
-                    trace.token_id.append(int(row[7]))
-                except ValueError:
+                    seq, pos, layer, rank, expert, bit, phase, token = row
+                    values = (
+                        int(seq), int(pos), int(layer), int(rank), int(expert), int(bit), int(token)
+                    )
+                except ValueError:  # a wrong field count or a non-integer field
                     raise ContractError(f"malformed trace row {lineno} in {path}")
-                if row[6] not in PHASES:
+                if phase not in PHASES:
                     raise ContractError(f"malformed trace row {lineno} in {path}")
-                trace.phase.append(row[6])
+                if values[5] not in (0, 1):
+                    raise ContractError(
+                        f"mask_bit {values[5]} is not 0 or 1 in trace row {lineno} in {path}"
+                    )
+                extend(values)
+                append(phase)
+        trace = cls()
+        if phases:
+            table = np.fromiter(numbers, dtype=np.int64, count=len(numbers))
+            columns = dict(zip(_INT_COLUMNS, table.reshape(-1, len(_INT_COLUMNS)).T.copy()))
+            columns["phase"] = np.asarray(phases)
+            trace._columns = {name: _frozen(columns[name]) for name in TRACE_HEADER}
+            trace._rows = len(phases)
         return trace
 
 
@@ -119,10 +191,20 @@ def _require_nonempty(trace: SparsityTrace) -> dict[str, np.ndarray]:
 
 
 def _cell_index(arr: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Unique (sequence, position, layer) cells and each row's cell number."""
-    keys = np.stack([arr["sequence_id"], arr["position"], arr["layer"]], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return uniq, inverse
+    """Unique (sequence, position, layer) cells in lexicographic order, and
+    each row's cell number: what ``np.unique(keys, axis=0,
+    return_inverse=True)`` gives, by one ``lexsort`` and a boundary diff."""
+    keys = (arr["sequence_id"], arr["position"], arr["layer"])
+    order = np.lexsort(keys[::-1])
+    sorted_keys = [key[order] for key in keys]
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in sorted_keys:
+        starts[1:] |= key[1:] != key[:-1]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    cells = np.stack([key[starts] for key in sorted_keys], axis=1)
+    return cells, inverse
 
 
 def avg_k(trace: SparsityTrace, group_by: str = "overall") -> dict:
@@ -139,10 +221,7 @@ def avg_k(trace: SparsityTrace, group_by: str = "overall") -> dict:
     counts = np.bincount(inverse, weights=arr["mask_bit"].astype(np.float64))
 
     if group_by == "token_layer":
-        return {
-            (int(s), int(p), int(l)): float(c)
-            for (s, p, l), c in zip(cells, counts)
-        }
+        return dict(zip(map(tuple, cells.tolist()), counts.tolist()))
     if group_by == "overall":
         return {"overall": float(counts.mean())}
 

@@ -280,12 +280,12 @@ def grouped_glu(
             g_hidden = g_out @ ex.w_down.data.T
             g_up = g_hidden * gate
             g_gate_pre = g_hidden * up * slope
-            _send(flow, ex.w_down, (gate * up).T @ g_out)
-            _send(flow, ex.w_gate, x_live.T @ g_gate_pre)
-            _send(flow, ex.w_up, x_live.T @ g_up)
+            _send(flow, ex.w_down, (gate * up).T @ g_out, owned=True)
+            _send(flow, ex.w_gate, x_live.T @ g_gate_pre, owned=True)
+            _send(flow, ex.w_up, x_live.T @ g_up, owned=True)
             gx[live_rows] += g_gate_pre @ ex.w_gate.data.T + g_up @ ex.w_up.data.T
-        _send(flow, weights_hat, g_weights)
-        _send(flow, x, gx)
+        _send(flow, weights_hat, g_weights, owned=True)
+        _send(flow, x, gx, owned=True)
 
     _record(out, rule)
     return out

@@ -174,13 +174,20 @@ def _record(out: Tensor, rule) -> None:
         tape.nodes.append((out, rule))
 
 
-def _send(flow: dict, t: Tensor, contribution: np.ndarray) -> None:
+def _send(flow: dict, t: Tensor, contribution: np.ndarray, owned: bool = False) -> None:
+    """Add a gradient contribution to ``t``'s flow buffer.
+
+    The first contribution becomes the buffer, which later ones are added
+    into in place, so it is copied unless ``owned``: pass ``owned=True`` only
+    for an array the rule has just allocated and does not send elsewhere,
+    never for ``g`` itself or a view of it.
+    """
     if not t.requires_grad:
         return
     key = id(t)
     entry = flow.get(key)
     if entry is None:
-        flow[key] = (t, contribution.copy())
+        flow[key] = (t, contribution if owned else contribution.copy())
     else:
         entry[1].__iadd__(contribution)
 
@@ -239,8 +246,8 @@ def mul(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def rule(g, flow):
-        _send(flow, a, _unbroadcast(g * b_data, a_data.shape))
-        _send(flow, b, _unbroadcast(g * a_data, b_data.shape))
+        _send(flow, a, _unbroadcast(g * b_data, a_data.shape), owned=True)
+        _send(flow, b, _unbroadcast(g * a_data, b_data.shape), owned=True)
 
     _record(out, rule)
     return out
@@ -252,8 +259,8 @@ def div(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def rule(g, flow):
-        _send(flow, a, _unbroadcast(g / b_data, a_data.shape))
-        _send(flow, b, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape))
+        _send(flow, a, _unbroadcast(g / b_data, a_data.shape), owned=True)
+        _send(flow, b, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape), owned=True)
 
     _record(out, rule)
     return out
@@ -279,8 +286,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def rule(g, flow):
         ga = np.matmul(g, b_data.swapaxes(-1, -2))
         gb = np.matmul(a_data.swapaxes(-1, -2), g)
-        _send(flow, a, _unbroadcast(ga, a_data.shape))
-        _send(flow, b, _unbroadcast(gb, b_data.shape))
+        _send(flow, a, _unbroadcast(ga, a_data.shape), owned=True)
+        _send(flow, b, _unbroadcast(gb, b_data.shape), owned=True)
 
     _record(out, rule)
     return out
@@ -293,10 +300,10 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
     def rule(g, flow):
         if axis is None:
-            _send(flow, x, np.broadcast_to(g, shape).copy())
+            _send(flow, x, np.broadcast_to(g, shape).copy(), owned=True)
         else:
             gg = g if keepdims else np.expand_dims(g, axis)
-            _send(flow, x, np.broadcast_to(gg, shape).copy())
+            _send(flow, x, np.broadcast_to(gg, shape).copy(), owned=True)
 
     _record(out, rule)
     return out
@@ -341,7 +348,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def rule(g, flow):
         gx = np.zeros(shape)
         gx[..., start:stop] = g
-        _send(flow, x, gx)
+        _send(flow, x, gx, owned=True)
 
     _record(out, rule)
     return out
@@ -364,7 +371,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     def rule(g, flow):
         gx = np.zeros(shape)
         np.add.at(gx, idx, g)
-        _send(flow, x, gx)
+        _send(flow, x, gx, owned=True)
 
     _record(out, rule)
     return out
@@ -377,7 +384,7 @@ def mask_fill(x: Tensor, keep: np.ndarray, fill_value: float) -> Tensor:
     out = Tensor._raw(np.where(keep, x.data, fill_value), x.requires_grad)
 
     def rule(g, flow):
-        _send(flow, x, np.where(keep, g, 0.0))
+        _send(flow, x, np.where(keep, g, 0.0), owned=True)
 
     _record(out, rule)
     return out
@@ -402,7 +409,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor._raw(y, x.requires_grad)
 
     def rule(g, flow):
-        _send(flow, x, g * y * (1.0 - y))
+        _send(flow, x, g * y * (1.0 - y), owned=True)
 
     _record(out, rule)
     return out
@@ -416,7 +423,7 @@ def silu(x: Tensor) -> Tensor:
     x_data = x.data
 
     def rule(g, flow):
-        _send(flow, x, g * s * (1.0 + x_data * (1.0 - s)))
+        _send(flow, x, g * s * (1.0 + x_data * (1.0 - s)), owned=True)
 
     _record(out, rule)
     return out
@@ -445,7 +452,7 @@ def softmax(x: Tensor, masked_value: float | None = None) -> Tensor:
 
     def rule(g, flow):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _send(flow, x, y * (g - dot))
+        _send(flow, x, y * (g - dot), owned=True)
 
     _record(out, rule)
     return out
@@ -484,10 +491,10 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
 
     def rule(g, flow):
         gw_axes = tuple(range(g.ndim - 1))
-        _send(flow, weight, (g * normed).sum(axis=gw_axes))
+        _send(flow, weight, (g * normed).sum(axis=gw_axes), owned=True)
         gw = g * w_data
         dot = (gw * x_data).sum(axis=-1, keepdims=True)
-        _send(flow, x, inv * gw - (inv**3 / d) * x_data * dot)
+        _send(flow, x, inv * gw - (inv**3 / d) * x_data * dot, owned=True)
 
     _record(out, rule)
     return out
@@ -516,7 +523,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def rule(g, flow):
         grad = np.exp(logp)
         grad[np.arange(t), targets] -= 1.0
-        _send(flow, logits, grad * (g / t))
+        _send(flow, logits, grad * (g / t), owned=True)
 
     _record(out, rule)
     return out

@@ -556,27 +556,38 @@ class EvalResult:
     token_count: int
 
 
-def _record_routes(trace, routes, ids, seq_base, phase, pairs=None):
-    """Record routing cells. ``pairs`` maps window positions to trace
-    positions (defaults to identity over the whole window)."""
+def _record_routes(
+    trace, routes, ids, seq_base, phase, positions=slice(None), trace_positions=None
+):
+    """Record routing cells, one block per layer, in row order: batch row
+    (sequence ``seq_base`` onwards), then position. ``positions`` picks the
+    window positions (a slice or an index array); ``trace_positions`` are
+    their positions in the trace (by default the window positions; a scalar
+    for a single position)."""
     b, t = ids.shape
-    k = routes[0].candidate_ids.shape[-1]
-    if pairs is None:
-        pairs = [(p, p) for p in range(t)]
+    window_positions = np.arange(t)[positions]
+    if window_positions.size == 0:
+        return
+    if trace_positions is None:
+        trace_positions = window_positions
+    # route rows are (batch row, position) flattened
+    if b == 1:  # one sequence, as in decoding: rows are window positions
+        rows, sequence_ids = positions, seq_base
+    else:
+        rows = (np.arange(b)[:, None] * t + window_positions).reshape(-1)
+        sequence_ids = np.repeat(np.arange(seq_base, seq_base + b), window_positions.size)
+        trace_positions = np.tile(trace_positions, b)
+    token_ids = ids.reshape(-1)[rows]
     for layer_idx, rr in enumerate(routes):
-        cand = rr.candidate_ids.reshape(b, t, k)
-        bits = rr.active_bits.reshape(b, t, k)
-        for bi in range(b):
-            for window_pos, trace_pos in pairs:
-                trace.record_cell(
-                    sequence_id=seq_base + bi,
-                    position=trace_pos,
-                    layer=layer_idx,
-                    expert_ids=cand[bi, window_pos],
-                    mask_bits=bits[bi, window_pos],
-                    phase=phase,
-                    token_id=int(ids[bi, window_pos]),
-                )
+        trace.record_cell(
+            sequence_id=sequence_ids,
+            position=trace_positions,
+            layer=layer_idx,
+            expert_ids=rr.candidate_ids[rows],
+            mask_bits=rr.active_bits[rows],
+            phase=phase,
+            token_id=token_ids,
+        )
 
 
 def evaluate(
@@ -627,11 +638,10 @@ def evaluate(
             active_cells += rr.active_counts.size
         if trace is not None:
             if trace_sampling >= 1.0:
-                pairs = None
+                positions = slice(None)
             else:
-                keep = sample_rng.random(tt) < trace_sampling
-                pairs = [(p, p) for p in range(tt) if keep[p]]
-            _record_routes(trace, routes, xs, start, "prefill", pairs)
+                positions = np.flatnonzero(sample_rng.random(tt) < trace_sampling)
+            _record_routes(trace, routes, xs, start, "prefill", positions)
 
     return EvalResult(
         perplexity=float(np.exp(total_nll / total_tokens)),
@@ -672,7 +682,8 @@ def sample_greedy(
                 window,
                 sequence_id,
                 "decode",
-                pairs=[(len(ids) - 1, abs_pos)],
+                positions=slice(len(ids) - 1, len(ids)),
+                trace_positions=abs_pos,
             )
         abs_pos += 1
     return np.asarray(generated, dtype=np.int64)

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from beamoe import trainer
 from beamoe.analysis import (
+    GROUP_KEYS,
+    TRACE_HEADER,
     FlopsModel,
     SparsityTrace,
+    _cell_index,
     avg_k,
     emit_report,
     expert_load,
@@ -14,7 +18,10 @@ from beamoe.analysis import (
     position_mask_prob,
     rank_extremes,
 )
+from beamoe.baselines import RoutingStrategy
 from beamoe.tensor import ContractError
+
+from reference_ops import ListSparsityTrace, record_routes_per_cell, reference_avg_k, unique_cell_index
 
 
 def synthetic_trace(rng, n_cells=60, k=4, n_experts=8, n_layers=3, mask_prob=0.35):
@@ -301,3 +308,226 @@ class TestTraceCsv:
         trace = SparsityTrace()
         with pytest.raises(ContractError):
             trace.record_cell(0, 0, 0, [1], [1], "warmup", 0)
+
+    @pytest.mark.parametrize("row", ["0,0,0,1,2,1,prefill", "0,0,0,1,2,1,prefill,5,9", ""])
+    def test_wrong_field_count_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "sequence_id,position,layer,rank,expert_id,mask_bit,phase,token_id\n"
+            f"0,0,0,1,2,1,prefill,5\n{row}\n"
+        )
+        with pytest.raises(ContractError, match="malformed trace row 3"):
+            SparsityTrace.from_csv(path)
+
+    def test_mask_bit_outside_zero_one_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "sequence_id,position,layer,rank,expert_id,mask_bit,phase,token_id\n"
+            "0,0,0,1,2,1,prefill,5\n"
+            "0,0,0,2,3,0,prefill,5\n"
+            "0,0,0,3,4,2,prefill,5\n"
+        )
+        with pytest.raises(ContractError, match="row 4"):
+            SparsityTrace.from_csv(path)
+
+
+def assert_same_columns(got: dict, want: dict):
+    assert list(got) == list(want) == TRACE_HEADER
+    for name in TRACE_HEADER:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestRecordValidation:
+    def test_mismatched_lengths_rejected(self):
+        # zip would keep three rows and silently drop the fourth expert
+        with pytest.raises(ContractError, match="shape"):
+            SparsityTrace().record_cell(0, 0, 0, [1, 2, 3, 4], [1, 1, 0], "prefill", 0)
+
+    def test_mismatched_block_shapes_rejected(self):
+        trace = SparsityTrace()
+        with pytest.raises(ContractError, match="shape"):
+            trace.record_cell(0, 0, 0, np.zeros((2, 4), int), np.ones(4, int), "prefill", 0)
+        with pytest.raises(ContractError, match="shape"):
+            trace.record_cell(0, 0, 0, np.zeros((2, 2, 4), int), np.ones((2, 2, 4), int), "prefill", 0)
+        assert len(trace) == 0
+
+    def test_per_cell_field_of_wrong_length_rejected(self):
+        with pytest.raises(ContractError, match="3 cells"):
+            SparsityTrace().record_cell(
+                [0, 1], 0, 0, np.zeros((3, 4), int), np.ones((3, 4), int), "prefill", 0
+            )
+
+    @pytest.mark.parametrize("bits", [[1, 2, 0, 1], [1, -1, 0, 1], [1, 0.5, 0, 1]])
+    def test_mask_bits_outside_zero_one_rejected(self, bits):
+        # a bit of 2 would count a slot twice in avg_k
+        trace = SparsityTrace()
+        with pytest.raises(ContractError, match="0 or 1"):
+            trace.record_cell(0, 0, 0, [0, 1, 2, 3], bits, "prefill", 0)
+        assert len(trace) == 0
+
+    def test_bool_and_float_bits_accepted(self):
+        trace = SparsityTrace()
+        trace.record_cell(0, 0, 0, [0, 1], np.array([True, False]), "prefill", 0)
+        trace.record_cell(0, 1, 0, [0, 1], [1.0, 0.0], "prefill", 0)
+        assert trace.mask_bit.tolist() == [1, 0, 1, 0]
+        assert trace.mask_bit.dtype == np.int64
+
+
+class TestTraceCache:
+    def test_record_after_read_shows_in_next_read(self):
+        trace = SparsityTrace()
+        trace.record_cell(0, 0, 0, [3, 1], [1, 0], "prefill", 7)
+        assert len(trace.arrays()["rank"]) == 2
+        assert trace.k == 2
+        trace.record_cell(0, 1, 0, [2, 0, 1], [1, 1, 1], "decode", 8)
+        assert len(trace) == 5
+        arr = trace.arrays()
+        assert arr["position"].tolist() == [0, 0, 1, 1, 1]
+        assert arr["phase"].tolist() == ["prefill"] * 2 + ["decode"] * 3
+        assert trace.k == 3
+
+    def test_read_columns_are_read_only(self):
+        trace = SparsityTrace()
+        trace.record_cell(0, 0, 0, [3, 1], [1, 0], "prefill", 7)
+        arr = trace.arrays()
+        for name in TRACE_HEADER:
+            with pytest.raises(ValueError):
+                arr[name][0] = arr[name][1]
+        with pytest.raises(ValueError):
+            trace.mask_bit[1] = 1
+        arr["mask_bit"] = np.ones(2, dtype=np.int64)  # rebinding the returned dict's entry
+        assert trace.arrays()["mask_bit"].tolist() == [1, 0]
+        assert avg_k(trace) == {"overall": 1.0}
+
+    def test_recorded_inputs_are_copied(self):
+        ids, bits, seq = np.array([[3, 1]]), np.array([[1, 0]]), np.array([4])
+        trace = SparsityTrace()
+        trace.record_cell(seq, 0, 0, ids, bits, "prefill", 7)
+        ids[...], bits[...], seq[...] = 0, 1, 9
+        arr = trace.arrays()
+        assert arr["expert_id"].tolist() == [3, 1]
+        assert arr["mask_bit"].tolist() == [1, 0]
+        assert arr["sequence_id"].tolist() == [4, 4]
+
+    def test_empty_trace_reads_empty_columns(self, tmp_path):
+        trace = SparsityTrace()
+        assert len(trace) == 0 and trace.k == 0
+        assert all(a.size == 0 for a in trace.arrays().values())
+        trace.to_csv(tmp_path / "empty.csv")
+        assert len(SparsityTrace.from_csv(tmp_path / "empty.csv")) == 0
+
+
+@pytest.fixture(scope="module")
+def masked_model():
+    """A two-layer beam model whose drawn mask router closes some slots."""
+    ids, vocab = trainer.ingest_text(trainer.synthetic_text(3000, 4))
+    cfg = trainer.ModelConfig(
+        vocab_size=len(vocab),
+        d_h=16,
+        n_layers=2,
+        n_heads=2,
+        context_length=16,
+        d_ff=12,
+        num_experts=6,
+        top_k=3,
+        strategy=RoutingStrategy("beam"),
+        seed=2,
+    )
+    model = trainer.TinyMoELM(cfg)
+    rng = np.random.default_rng(9)
+    for layer in model.layers:
+        w = layer["block"].mask_router.weight
+        w.data[...] = rng.normal(0.0, 0.8, w.shape)
+    return model, ids
+
+
+RUNS = {
+    "eval_full": lambda m, ids, t: trainer.evaluate(m, ids, max_windows=10, batch_size=4, trace=t),
+    "eval_sampled": lambda m, ids, t: trainer.evaluate(
+        m, ids, max_windows=10, batch_size=4, trace=t, trace_sampling=0.5, trace_seed=3
+    ),
+    "greedy": lambda m, ids, t: trainer.sample_greedy(m, ids[:20], 6, trace=t, sequence_id=2),
+    "eval_then_greedy": lambda m, ids, t: (
+        trainer.evaluate(m, ids, max_windows=4, trace=t, trace_sampling=0.5),
+        trainer.sample_greedy(m, ids[40:50], 5, trace=t, sequence_id=9),
+    ),
+}
+
+
+class TestColumnarTraceOracle:
+    """The columnar trace against the list-based one fed cell by cell from
+    the same routes."""
+
+    @pytest.fixture(params=sorted(RUNS))
+    def traces(self, request, masked_model, monkeypatch):
+        model, ids = masked_model
+        reference = ListSparsityTrace()
+        record = trainer._record_routes
+
+        def tee(trace, routes, ids, seq_base, phase, positions=slice(None), trace_positions=None):
+            record(trace, routes, ids, seq_base, phase, positions, trace_positions)
+            window = np.arange(ids.shape[1])[positions]
+            at = window if trace_positions is None else np.broadcast_to(trace_positions, window.shape)
+            record_routes_per_cell(reference, routes, ids, seq_base, phase, list(zip(window, at)))
+
+        monkeypatch.setattr(trainer, "_record_routes", tee)
+        trace = SparsityTrace()
+        RUNS[request.param](model, ids, trace)
+        assert len(trace) == len(reference) > 0
+        return trace, reference
+
+    def test_columns_and_csv_bytes_equal(self, traces, tmp_path):
+        trace, reference = traces
+        assert_same_columns(trace.arrays(), reference.arrays())
+        assert trace.k == reference.k
+        trace.to_csv(tmp_path / "new.csv")
+        reference.to_csv(tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_same_columns(SparsityTrace.from_csv(tmp_path / "new.csv").arrays(), reference.arrays())
+
+    def test_metrics_equal(self, traces):
+        trace, reference = traces
+        assert 0 < reference.arrays()["mask_bit"].sum() < len(reference)  # the mask does close slots
+        cells, inverse = _cell_index(trace.arrays())
+        want_cells, want_inverse = unique_cell_index(reference.arrays())
+        assert np.array_equal(cells, want_cells) and np.array_equal(inverse, want_inverse)
+        for group in GROUP_KEYS:
+            got, want = avg_k(trace, group), reference_avg_k(reference, group)
+            assert got == want, group
+            assert [(k, type(k)) for k in got] == [(k, type(k)) for k in want], group
+        assert position_mask_prob(trace) == position_mask_prob(reference)
+        assert rank_extremes(trace) == rank_extremes(reference)
+        assert expert_load(trace) == expert_load(reference)
+
+    @pytest.mark.parametrize("spans", [(1, 1, 3), (3, 1, 1), (1, 3, 1), (3, 3, 3), (4, 50, 2)])
+    def test_cell_index_matches_unique_rows(self, spans):
+        # unsorted rows, repeated cells, negative ids, and key columns that
+        # do not vary, so that neighbouring cells can differ in one key only
+        rng = np.random.default_rng(sum(spans))
+        arr = {
+            name: rng.integers(-1, span - 1, 300)
+            for name, span in zip(("sequence_id", "position", "layer"), spans)
+        }
+        cells, inverse = _cell_index(arr)
+        want_cells, want_inverse = unique_cell_index(arr)
+        assert np.array_equal(cells, want_cells)
+        assert np.array_equal(inverse, want_inverse)
+
+    def test_one_block_equals_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        n, k = 7, 3
+        seq, pos, tok = rng.integers(0, 5, n), rng.integers(0, 64, n), rng.integers(0, 30, n)
+        ids = rng.integers(-1, 8, (n, k))
+        bits = rng.integers(0, 2, (n, k))
+        block = SparsityTrace()
+        block.record_cell(seq, pos, 1, ids, bits, "decode", tok)
+        scalar = SparsityTrace()
+        for i in range(n):
+            scalar.record_cell(seq[i], pos[i], 1, ids[i], bits[i], "decode", tok[i])
+        assert len(block) == len(scalar) == n * k
+        assert_same_columns(block.arrays(), scalar.arrays())
+        # a scalar field in a block applies to every cell
+        shared = SparsityTrace()
+        shared.record_cell(3, pos, 1, ids, bits, "decode", tok)
+        assert shared.sequence_id.tolist() == [3] * (n * k)

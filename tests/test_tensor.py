@@ -229,6 +229,25 @@ class TestTapeSemantics:
         backward(lambda t: tsum(add(mul(t, t), t)), w)
         assert np.allclose(w.grad, [7.0])  # d(w^2 + w)/dw = 2w + 1
 
+    def test_one_upstream_gradient_reaching_two_inputs(self):
+        # add passes its upstream g on unchanged: x + x sends it to x twice,
+        # a + b to two tensors; neither may share or grow the buffer of g
+        c = np.array([1.0, -2.0, 3.0])
+        x = Tensor([0.5, 1.0, 2.0], requires_grad=True)
+        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        b = Tensor([4.0, 5.0, 6.0], requires_grad=True)
+        with Tape() as tape:
+            y = add(x, x)
+            s = add(a, b)
+            loss = tsum(add(mul(y, c), mul(s, c)))
+            tape.backward(loss)
+            assert np.array_equal(y.grad, c) and np.array_equal(x.grad, 2 * c)
+            tape.backward(loss)
+        assert np.array_equal(y.grad, 2 * c) and np.array_equal(x.grad, 4 * c)
+        for t in (s, a, b):
+            assert np.array_equal(t.grad, 2 * c)
+        assert not np.shares_memory(a.grad, b.grad) and not np.shares_memory(a.grad, s.grad)
+
     def test_deterministic_forward(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 4))

@@ -273,15 +273,49 @@ class TestAdamAndEval:
         ppl_trained = evaluate(trained, ids, max_windows=8).perplexity
         assert ppl_trained < ppl_init
 
-    def test_training_and_dispatch_logits_agree(self, corpus):
+    @staticmethod
+    def _train_infer_gap(corpus, strategy):
         ids, vocab = corpus
-        cfg = small_model_cfg(len(vocab), RoutingStrategy("beam"))
-        tc = small_train_cfg(steps=8, beta=0.3)
-        model, _ = train(cfg, tc, ids)
+        cfg = small_model_cfg(len(vocab), strategy)
+        model, _ = train(cfg, small_train_cfg(steps=8, beta=0.3), ids)
         x = ids[None, :16]
         logits_train, _ = model.forward(x, training=True)
         logits_infer, _ = model.forward(x, training=False)
-        assert np.max(np.abs(logits_train.data - logits_infer.data)) < 1e-9
+        return np.max(np.abs(logits_train.data - logits_infer.data))
+
+    def test_training_and_dispatch_logits_agree(self, corpus):
+        assert self._train_infer_gap(corpus, RoutingStrategy("beam")) < 1e-9
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            RoutingStrategy("vanilla_topk"),
+            RoutingStrategy("topk_reduced", {"k_small": 1}),
+            RoutingStrategy("topk_pruning", {"k_infer": 2}),
+            # phi <= K/N: the top-K always reach phi, so the active set fits
+            # in the K traced candidates that inference executes
+            RoutingStrategy("moe_dynamic", {"phi": 0.5}),
+            RoutingStrategy("ada_moe", {"null_count": 2}),
+            RoutingStrategy("soft_mask"),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_other_strategies_training_and_dispatch_logits_agree(self, corpus, strategy):
+        assert self._train_infer_gap(corpus, strategy) < 1e-9
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            # inference keeps fewer experts than training ran
+            RoutingStrategy("topk_pruning", {"k_infer": 1}),
+            # inference binarizes the mask at the floor temperature
+            RoutingStrategy("soft_mask_tempered"),
+        ],
+        ids=lambda s: s.kind,
+    )
+    def test_training_and_dispatch_logits_differ_by_design(self, corpus, strategy):
+        # far above the 1e-9 of the strategies that agree
+        assert self._train_infer_gap(corpus, strategy) > 1e-5
 
     def test_greedy_sampling_tags_phases(self, corpus):
         from beamoe.analysis import SparsityTrace

@@ -120,13 +120,13 @@ class RouteResult:
     weights_hat: Tensor  # (T, N) final expert weights
     logits: Tensor  # router logits, (T, N) or (T, N + nulls)
     balance_active: np.ndarray  # bool, same width as logits
-    candidate_ids: np.ndarray  # (T, K); -1 marks a null slot
-    active_bits: np.ndarray  # (T, K) 0/1 per candidate slot
+    candidate_ids: np.ndarray  # (T, K), (T, N) for moe_dynamic; -1 marks a null slot
+    active_bits: np.ndarray  # same shape, 0/1 per candidate slot
     active_counts: np.ndarray  # (T,) activated experts per token
     raw_mask: Tensor | None = None  # sigmoid mask values, masked strategies only
     reg_indices: np.ndarray | None = None  # candidate set for the sparsity loss
     compute_ids: np.ndarray | None = None  # force-evaluate set for training
-    kept_ids: np.ndarray | None = None  # (T, K) ids with -1 where skippable
+    kept_ids: np.ndarray | None = None  # candidate ids with -1 where skippable
 
 
 def dynamic_select(probs: np.ndarray, phi: float) -> np.ndarray:
@@ -195,7 +195,10 @@ def route(
         active = dynamic_select(probs.data, p.get("phi", 0.5))
         masked = mul(probs, Tensor._raw(active.astype(np.float64)))
         weights_hat = div(masked, tsum(masked, axis=-1, keepdims=True))
-        order = topk_select(probs.data, k)
+        # every expert is a candidate, in descending-probability order: the
+        # top-p set can hold more than K experts, and inference must run
+        # (and the trace record) all of them, as training does
+        order = topk_select(probs.data, n)
         bits = np.take_along_axis(active, order, axis=-1).astype(np.int64)
         counts = active.sum(axis=-1).astype(np.int64)
         kept = np.where(bits == 1, order, np.int64(-1))

@@ -183,6 +183,7 @@ def cmd_train(args) -> int:
         write_trace(e.rows, out / "training_trace.csv")
         print(f"error: {e}; last-good checkpoint kept", file=sys.stderr)
         return 1
+    model.vocab = vocab
     save_checkpoint(model, out / "checkpoint.bin")
     write_trace(rows, out / "training_trace.csv")
     print(f"trained {train_cfg.steps} steps -> {out}")
@@ -197,6 +198,14 @@ def cmd_eval(args) -> int:
         print(
             f"error: checkpoint vocab_size {model.cfg.vocab_size} does not match "
             f"corpus vocabulary {len(vocab)}",
+            file=sys.stderr,
+        )
+        return 1
+    if model.vocab is not None and model.vocab != vocab:
+        i = next(i for i, (a, b) in enumerate(zip(model.vocab, vocab)) if a != b)
+        print(
+            f"error: checkpoint vocabulary differs from the corpus vocabulary at index {i}: "
+            f"{model.vocab[i]!r} != {vocab[i]!r}",
             file=sys.stderr,
         )
         return 1
@@ -318,6 +327,7 @@ def cmd_compare(args) -> int:
             run_out = output_dir_for(run)
             _write_resolved(run, run_out, model_cfg.vocab_size)
             model, rows = train(model_cfg, train_cfg, corpus_ids)
+            model.vocab = vocab
             save_checkpoint(model, run_out / "checkpoint.bin")
             write_trace(rows, run_out / "training_trace.csv")
             result = evaluate(model, corpus_ids, max_windows=args.eval_windows)

@@ -151,11 +151,18 @@ class TrainingDiverged(RuntimeError):
         self.rows = rows
 
 
+def _last_position(x: Tensor) -> Tensor:
+    """(B, T, D) -> (B, 1, D), the last position of every sequence."""
+    b, t, d = x.shape
+    return take_rows(reshape(x, (b * t, d)), (np.arange(b) * t + t - 1)[:, None])
+
+
 class TinyMoELM:
     """Two-ish layer causal transformer whose feed-forward is an MoE block."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
+        self.vocab: list[str] | None = None  # id -> character, when known
         rng = np.random.default_rng(cfg.seed)
         std = 0.02
         d = cfg.d_h
@@ -197,26 +204,30 @@ class TinyMoELM:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def _attention(self, layer: dict, x: Tensor) -> Tensor:
+    def _attention(self, layer: dict, x: Tensor, last_query_only: bool = False) -> Tensor:
+        """Causal self-attention output, (B, T, D); with ``last_query_only``,
+        (B, 1, D) for the last position only (keys and values still cover
+        every position)."""
         cfg = self.cfg
         b, t, d = x.shape
         hd = d // cfg.n_heads
         xn = rms_norm(x, layer["attn_norm"])
-        q = matmul(xn, layer["wq"])
+        q = matmul(_last_position(xn) if last_query_only else xn, layer["wq"])
         k = matmul(xn, layer["wk"])
         v = matmul(xn, layer["wv"])
+        tq = q.shape[1]
 
-        def heads(z):
-            return transpose(reshape(z, (b, t, cfg.n_heads, hd)), (0, 2, 1, 3))
+        def heads(z, n):
+            return transpose(reshape(z, (b, n, cfg.n_heads, hd)), (0, 2, 1, 3))
 
-        q, k, v = heads(q), heads(k), heads(v)
+        q, k, v = heads(q, tq), heads(k, t), heads(v, t)
         scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        causal = np.tril(np.ones((t, t), dtype=bool))
+        causal = np.tril(np.ones((t, t), dtype=bool))[t - tq :]
         weights = softmax(
             mask_fill(scores, causal, NEG_SENTINEL), masked_value=NEG_SENTINEL
         )
         out = transpose(matmul(weights, v), (0, 2, 1, 3))
-        return matmul(reshape(out, (b, t, d)), layer["wo"])
+        return matmul(reshape(out, (b, tq, d)), layer["wo"])
 
     def forward(
         self,
@@ -225,8 +236,21 @@ class TinyMoELM:
         step: int = 0,
         total_steps: int = 1,
         binarize_soft: bool = False,
+        *,
+        last_position_only: bool = False,
     ) -> tuple[Tensor, list[RouteResult]]:
-        """Logits (B, T, V) and per-layer routing results."""
+        """Logits (B, T, V) and per-layer routing results, each over B·T rows.
+
+        With ``last_position_only`` (inference only, for a caller that reads
+        one row of logits per sequence) the layers before the last run on the
+        whole window, since they feed the last layer's keys and values; the
+        last layer's query, attention output, residual and MoE block, the
+        final norm and the head run on the last position only. The logits
+        are then (B, 1, V) and the last layer's route covers B rows, one per
+        sequence, at the last position.
+        """
+        if last_position_only and training:
+            raise ContractError("last_position_only is an inference option")
         cfg = self.cfg
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim == 1:
@@ -236,8 +260,12 @@ class TinyMoELM:
             raise ContractError("sequence longer than context_length")
         x = add(take_rows(self.wte, ids), take_rows(self.wpe, np.arange(t)))
         routes = []
-        for layer in self.layers:
-            x = add(x, self._attention(layer, x))
+        for i, layer in enumerate(self.layers):
+            if last_position_only and i == len(self.layers) - 1:
+                x = add(_last_position(x), self._attention(layer, x, last_query_only=True))
+                t = 1
+            else:
+                x = add(x, self._attention(layer, x))
             flat = reshape(x, (b * t, cfg.d_h))
             out, rr = block_forward(
                 flat,
@@ -457,7 +485,7 @@ def ingest_corpus(source: dict) -> tuple[np.ndarray, list[str]]:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"BMOECKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v2 adds the vocabulary; v1 files still load
 
 
 class CheckpointError(ValueError):
@@ -465,13 +493,21 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: TinyMoELM, path) -> None:
-    """Magic + version + canonical config + named float64 blobs + crc32."""
+    """Magic + version + canonical config + vocabulary + named float64 blobs
+    + crc32. The vocabulary is ``model.vocab`` as a JSON list, or null when
+    it is unknown."""
+    vocab = model.vocab
+    if vocab is not None and len(vocab) != model.cfg.vocab_size:
+        raise ContractError(
+            f"vocabulary has {len(vocab)} entries, model vocab_size is {model.cfg.vocab_size}"
+        )
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
-    cfg_bytes = json.dumps(model.cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-    blob += struct.pack("<Q", len(cfg_bytes))
-    blob += cfg_bytes
+    for section in (model.cfg.to_dict(), vocab):
+        data = json.dumps(section, sort_keys=True, separators=(",", ":")).encode()
+        blob += struct.pack("<Q", len(data))
+        blob += data
     named = model.named_parameters()
     blob += struct.pack("<Q", len(named))
     for name, tensor in named:
@@ -488,7 +524,8 @@ def save_checkpoint(model: TinyMoELM, path) -> None:
 
 
 def load_checkpoint(path, strategy: RoutingStrategy | None = None) -> TinyMoELM:
-    """Rebuild a model from a checkpoint.
+    """Rebuild a model from a checkpoint; ``model.vocab`` is the stored
+    vocabulary (None for a v1 file, which has none).
 
     ``strategy`` overrides the stored routing strategy; attaching a
     mask-router strategy to a checkpoint that has no mask weights leaves
@@ -505,16 +542,26 @@ def load_checkpoint(path, strategy: RoutingStrategy | None = None) -> TinyMoELM:
     off = len(CHECKPOINT_MAGIC)
     (version,) = struct.unpack_from("<I", blob, off)
     off += 4
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, 2):
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    cfg_dict = json.loads(blob[off : off + cfg_len].decode())
-    off += cfg_len
+
+    def json_section():
+        nonlocal off
+        (length,) = struct.unpack_from("<Q", blob, off)
+        off += 8 + length
+        return json.loads(blob[off - length : off].decode())
+
+    cfg_dict = json_section()
+    vocab = json_section() if version == 2 else None
     if strategy is not None:
         cfg_dict["strategy"] = {"kind": strategy.kind, "params": dict(strategy.params)}
     cfg = ModelConfig(**cfg_dict)
+    if vocab is not None and (
+        len(vocab) != cfg.vocab_size or not all(isinstance(ch, str) for ch in vocab)
+    ):
+        raise CheckpointError("stored vocabulary does not match the config's vocab_size")
     model = TinyMoELM(cfg)
+    model.vocab = vocab
     lookup = dict(model.named_parameters())
 
     (n_params,) = struct.unpack_from("<Q", blob, off)
@@ -563,7 +610,12 @@ def _record_routes(
     (sequence ``seq_base`` onwards), then position. ``positions`` picks the
     window positions (a slice or an index array); ``trace_positions`` are
     their positions in the trace (by default the window positions; a scalar
-    for a single position)."""
+    for a single position).
+
+    With several sequences every route must cover the whole window. With one
+    sequence ``positions`` indexes the route rows directly, so a slice taken
+    from the end (``slice(-1, None)``) also reads a route that covers the
+    last position only (``TinyMoELM.forward(last_position_only=True)``)."""
     b, t = ids.shape
     window_positions = np.arange(t)[positions]
     if window_positions.size == 0:
@@ -659,9 +711,20 @@ def sample_greedy(
     sequence_id: int = 0,
 ) -> np.ndarray:
     """Greedy decoding; prompt cells are traced as prefill, generated cells
-    as decode."""
+    as decode.
+
+    The prompt runs one full forward. Each generated token then runs one
+    forward of the sliding window that computes the last position only:
+    positions are absolute (``wpe``) and the window slides by one token per
+    step, so every hidden state changes and no key/value cache applies.
+    """
     cfg = model.cfg
-    ids = list(np.asarray(prompt_ids, dtype=np.int64)[-cfg.context_length :])
+    prompt = np.asarray(prompt_ids, dtype=np.int64)
+    if prompt.ndim != 1 or prompt.size == 0:
+        raise ContractError("prompt must be a non-empty 1-d sequence of ids")
+    if max_new_tokens < 0:
+        raise ContractError("max_new_tokens must be >= 0")
+    ids = list(prompt[-cfg.context_length :])
     window = np.asarray(ids, dtype=np.int64)[None, :]
     logits, routes = model.forward(window, training=False, binarize_soft=binarize_soft)
     if trace is not None:
@@ -674,7 +737,9 @@ def sample_greedy(
         ids.append(nxt)
         ids = ids[-cfg.context_length :]
         window = np.asarray(ids, dtype=np.int64)[None, :]
-        logits, routes = model.forward(window, training=False, binarize_soft=binarize_soft)
+        logits, routes = model.forward(
+            window, training=False, binarize_soft=binarize_soft, last_position_only=True
+        )
         if trace is not None:
             _record_routes(
                 trace,
@@ -682,7 +747,7 @@ def sample_greedy(
                 window,
                 sequence_id,
                 "decode",
-                positions=slice(len(ids) - 1, len(ids)),
+                positions=slice(-1, None),
                 trace_positions=abs_pos,
             )
         abs_pos += 1

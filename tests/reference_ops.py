@@ -6,14 +6,22 @@
 - A list-based sparsity trace, its per-cell recording loop and its
   ``np.unique`` cell index: the columnar ``SparsityTrace`` and ``avg_k``
   are checked against them.
+- Greedy decoding that runs the whole window on every token: the
+  last-position decode of ``sample_greedy`` is checked against it.
+- The version-1 checkpoint writer (no vocabulary): the loader must keep
+  reading its files.
 """
 
 import csv
+import json
+import struct
+import zlib
 
 import numpy as np
 
 from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER
 from beamoe.tensor import ContractError, Tensor, _as_tensor, _record, _send
+from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
 
 
 def scatter_rows(values: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
@@ -114,20 +122,22 @@ class ListSparsityTrace:
 
 def record_routes_per_cell(trace, routes, ids, seq_base, phase, pairs):
     """One ``record_cell`` per (layer, batch row, position) cell; ``pairs``
-    maps window positions to trace positions."""
+    maps window positions to trace positions. A route's rows are indexed
+    from the window end, so a route that covers only the last positions
+    (``forward(last_position_only=True)``) reads the same cells."""
     b, t = ids.shape
     k = routes[0].candidate_ids.shape[-1]
     for layer_idx, rr in enumerate(routes):
-        cand = rr.candidate_ids.reshape(b, t, k)
-        bits = rr.active_bits.reshape(b, t, k)
+        cand = rr.candidate_ids.reshape(b, -1, k)
+        bits = rr.active_bits.reshape(b, -1, k)
         for bi in range(b):
             for window_pos, trace_pos in pairs:
                 trace.record_cell(
                     sequence_id=seq_base + bi,
                     position=trace_pos,
                     layer=layer_idx,
-                    expert_ids=cand[bi, window_pos],
-                    mask_bits=bits[bi, window_pos],
+                    expert_ids=cand[bi, window_pos - t],
+                    mask_bits=bits[bi, window_pos - t],
                     phase=phase,
                     token_id=int(ids[bi, window_pos]),
                 )
@@ -172,3 +182,58 @@ def reference_avg_k(trace, group_by: str = "overall") -> dict:
         label = str(key) if group_by == "phase" else int(key)
         out[label] = float(counts[sel].mean())
     return out
+
+
+def reference_sample_greedy(model, prompt_ids, max_new_tokens, trace=None, binarize_soft=False, sequence_id=0):
+    """Greedy decoding with a full-window forward per token, reading the
+    last row of the logits and of every layer's route."""
+    cfg = model.cfg
+    ids = list(np.asarray(prompt_ids, dtype=np.int64)[-cfg.context_length :])
+    window = np.asarray(ids, dtype=np.int64)[None, :]
+    logits, routes = model.forward(window, training=False, binarize_soft=binarize_soft)
+    if trace is not None:
+        _record_routes(trace, routes, window, sequence_id, "prefill")
+    generated: list[int] = []
+    abs_pos = len(ids)
+    for _ in range(max_new_tokens):
+        nxt = int(np.argmax(logits.data[0, -1]))
+        generated.append(nxt)
+        ids.append(nxt)
+        ids = ids[-cfg.context_length :]
+        window = np.asarray(ids, dtype=np.int64)[None, :]
+        logits, routes = model.forward(window, training=False, binarize_soft=binarize_soft)
+        if trace is not None:
+            _record_routes(
+                trace,
+                routes,
+                window,
+                sequence_id,
+                "decode",
+                positions=slice(len(ids) - 1, len(ids)),
+                trace_positions=abs_pos,
+            )
+        abs_pos += 1
+    return np.asarray(generated, dtype=np.int64)
+
+
+def save_checkpoint_v1(model, path) -> None:
+    """Magic + version 1 + canonical config + named float64 blobs + crc32."""
+    blob = bytearray()
+    blob += CHECKPOINT_MAGIC
+    blob += struct.pack("<I", 1)
+    cfg_bytes = json.dumps(model.cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    blob += struct.pack("<Q", len(cfg_bytes))
+    blob += cfg_bytes
+    named = model.named_parameters()
+    blob += struct.pack("<Q", len(named))
+    for name, tensor in named:
+        nb = name.encode()
+        blob += struct.pack("<I", len(nb))
+        blob += nb
+        blob += struct.pack("<I", tensor.data.ndim)
+        for s in tensor.data.shape:
+            blob += struct.pack("<Q", s)
+        blob += tensor.data.astype("<f8").tobytes()
+    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
+    with open(path, "wb") as f:
+        f.write(bytes(blob))

@@ -182,6 +182,24 @@ class TestEvalCommand:
         )
         assert code == 1
 
+    def test_same_size_other_vocabulary_fails(self, trained, tmp_path, capsys):
+        from beamoe.trainer import ingest_text, synthetic_text
+
+        cfg_path, out = trained
+        text = synthetic_text(2000, 3)  # the trained corpus
+        _, vocab = ingest_text(text)
+        assert "~" > vocab[-1]  # the swapped character stays last
+        other = tmp_path / "other.txt"
+        other.write_text(text.replace(vocab[-1], "~"))
+        other_cfg, _ = write_config(
+            tmp_path, name="other.json", corpus={"kind": "file", "path": str(other)}
+        )
+        code = main(
+            ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--config", str(other_cfg)]
+        )
+        assert code == 1
+        assert f"index {len(vocab) - 1}" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_analyze_matches_module(self, tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from beamoe.trainer import (
     total_loss,
     train,
 )
+from reference_ops import reference_sample_greedy, save_checkpoint_v1
 
 
 def small_model_cfg(vocab=12, strategy=None, seed=0):
@@ -216,6 +219,34 @@ class TestCheckpoint:
             assert np.array_equal(p1.data, p2.data)
         assert loaded.cfg.strategy.kind == "beam"
 
+    def test_vocabulary_round_trip(self, corpus, tmp_path):
+        ids, vocab = corpus
+        model, _ = train(small_model_cfg(len(vocab)), small_train_cfg(steps=1), ids)
+        model.vocab = vocab
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert loaded.vocab == vocab
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "m.ckpt").read_bytes()
+
+    def test_vocabulary_of_wrong_size_rejected(self, corpus, tmp_path):
+        ids, vocab = corpus
+        model, _ = train(small_model_cfg(len(vocab)), small_train_cfg(steps=0), ids)
+        model.vocab = vocab[:-1]
+        with pytest.raises(ContractError, match="vocab"):
+            save_checkpoint(model, tmp_path / "m.ckpt")
+
+    def test_version_1_file_loads_bit_identically(self, corpus, tmp_path):
+        ids, vocab = corpus
+        model, _ = train(small_model_cfg(len(vocab), RoutingStrategy("beam")), small_train_cfg(steps=2, beta=0.1), ids)
+        save_checkpoint_v1(model, tmp_path / "v1.ckpt")
+        loaded = load_checkpoint(tmp_path / "v1.ckpt")
+        assert loaded.vocab is None
+        assert loaded.cfg.to_dict() == model.cfg.to_dict()
+        for (n1, p1), (n2, p2) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert n1 == n2
+            assert np.array_equal(p1.data, p2.data)
+
     def test_truncated_file_rejected(self, corpus, tmp_path):
         ids, vocab = corpus
         model, _ = train(small_model_cfg(len(vocab)), small_train_cfg(steps=1), ids)
@@ -292,9 +323,13 @@ class TestAdamAndEval:
             RoutingStrategy("vanilla_topk"),
             RoutingStrategy("topk_reduced", {"k_small": 1}),
             RoutingStrategy("topk_pruning", {"k_infer": 2}),
-            # phi <= K/N: the top-K always reach phi, so the active set fits
-            # in the K traced candidates that inference executes
+            # every expert is a candidate, so inference runs the whole top-p
+            # set, also when it holds more than K experts (phi > K/N)
             RoutingStrategy("moe_dynamic", {"phi": 0.5}),
+            *(
+                pytest.param(RoutingStrategy("moe_dynamic", {"phi": phi}), id=f"moe_dynamic-{phi}")
+                for phi in (0.6, 0.75, 0.9)
+            ),
             RoutingStrategy("ada_moe", {"null_count": 2}),
             RoutingStrategy("soft_mask"),
         ],
@@ -302,6 +337,17 @@ class TestAdamAndEval:
     )
     def test_other_strategies_training_and_dispatch_logits_agree(self, corpus, strategy):
         assert self._train_infer_gap(corpus, strategy) < 1e-9
+
+    def test_dynamic_trace_records_every_executed_expert(self, corpus):
+        from beamoe.analysis import SparsityTrace, avg_k
+
+        ids, vocab = corpus
+        cfg = small_model_cfg(len(vocab), RoutingStrategy("moe_dynamic", {"phi": 0.9}))
+        model, _ = train(cfg, small_train_cfg(steps=8), ids)
+        trace = SparsityTrace()
+        result = evaluate(model, ids, max_windows=8, trace=trace)
+        assert result.avg_k > cfg.top_k  # the top-p set outgrows the top-K
+        assert avg_k(trace)["overall"] == result.avg_k
 
     @pytest.mark.parametrize(
         "strategy",
@@ -342,6 +388,110 @@ class TestAdamAndEval:
         out = sample_greedy(model, ids[:10], max_new_tokens=0, trace=trace)
         assert len(out) == 0
         assert set(trace.phase) == {"prefill"}
+
+
+ALL_STRATEGIES = [
+    RoutingStrategy("vanilla_topk"),
+    RoutingStrategy("topk_reduced", {"k_small": 1}),
+    RoutingStrategy("topk_pruning", {"k_infer": 1}),
+    RoutingStrategy("moe_dynamic", {"phi": 0.5}),
+    RoutingStrategy("ada_moe", {"null_count": 2}),
+    RoutingStrategy("beam"),
+    RoutingStrategy("soft_mask"),
+    RoutingStrategy("soft_mask_tempered"),
+]
+
+ROUTE_FIELDS = ("candidate_ids", "active_bits", "active_counts", "kept_ids")
+
+
+def drawn_model(strategy, n_layers=2, vocab=12, seed=0):
+    """A small model whose mask-router weights are drawn, so masks close slots."""
+    model = TinyMoELM(replace(small_model_cfg(vocab, strategy, seed=seed), n_layers=n_layers))
+    rng = np.random.default_rng([seed, 1])
+    for layer in model.layers:
+        mask_router = layer["block"].mask_router
+        if mask_router is not None:
+            mask_router.weight.data[...] = rng.normal(0.0, 0.8, mask_router.weight.shape)
+    return model
+
+
+class TestLastPositionForward:
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 7, 16])
+    def test_matches_last_row_of_full_forward(self, strategy, n_layers, t):
+        model = drawn_model(strategy, n_layers)
+        ids = np.random.default_rng(t).integers(0, 12, (2, t))
+        full, full_routes = model.forward(ids, training=False)
+        last, last_routes = model.forward(ids, training=False, last_position_only=True)
+        assert last.shape == (2, 1, 12)
+        # not bit-equal: a one-row matmul may sum in another order than the
+        # same row of a many-row matmul
+        want = full.data[:, -1:]
+        assert np.max(np.abs(last.data - want)) <= 1e-12 * np.max(np.abs(want))
+        assert len(last_routes) == len(full_routes) == n_layers
+        for got, ref in zip(last_routes[:-1], full_routes[:-1]):
+            for name in ROUTE_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert np.array_equal(got.weights_hat.data, ref.weights_hat.data)
+        got, ref = last_routes[-1], full_routes[-1]
+        for name in ROUTE_FIELDS:
+            ref_rows = getattr(ref, name).reshape((2, t) + getattr(ref, name).shape[1:])[:, -1]
+            assert np.array_equal(getattr(got, name), ref_rows), name
+
+    def test_rejected_in_training(self):
+        model = drawn_model(RoutingStrategy("beam"))
+        with pytest.raises(ContractError, match="last_position_only"):
+            model.forward(np.zeros((1, 4), dtype=np.int64), training=True, last_position_only=True)
+
+
+class TestGreedyDecode:
+    @pytest.mark.parametrize(
+        "strategy",
+        [RoutingStrategy("beam"), RoutingStrategy("moe_dynamic", {"phi": 0.9})],
+        ids=lambda s: s.kind,
+    )
+    @pytest.mark.parametrize(
+        "prompt_len, new_tokens",
+        [(5, 30), (16, 20), (9, 0)],
+        ids=["growing-window", "full-window", "no-new-tokens"],
+    )
+    def test_tokens_and_trace_equal_full_window_decode(self, strategy, prompt_len, new_tokens, tmp_path):
+        from beamoe.analysis import SparsityTrace
+
+        model = drawn_model(strategy, seed=3)
+        prompt = np.random.default_rng(prompt_len).integers(0, 12, prompt_len)
+        trace, ref_trace = SparsityTrace(), SparsityTrace()
+        out = sample_greedy(model, prompt, new_tokens, trace=trace, sequence_id=4)
+        ref = reference_sample_greedy(model, prompt, new_tokens, trace=ref_trace, sequence_id=4)
+        assert out.tolist() == ref.tolist() and len(out) == new_tokens
+        trace.to_csv(tmp_path / "new.csv")
+        ref_trace.to_csv(tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (trace.arrays()["phase"] == "decode").sum() == new_tokens * 2 * trace.k
+
+    def test_one_forward_per_token(self, monkeypatch):
+        model = drawn_model(RoutingStrategy("beam"))
+        calls = []
+        forward = model.forward
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("last_position_only", False))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting)
+        sample_greedy(model, np.arange(5) % 12, 6)
+        assert calls == [False] + [True] * 6
+
+    def test_empty_prompt_rejected(self):
+        model = drawn_model(RoutingStrategy("beam"))
+        with pytest.raises(ContractError, match="prompt"):
+            sample_greedy(model, np.zeros(0, dtype=np.int64), 3)
+
+    def test_negative_max_new_tokens_rejected(self):
+        model = drawn_model(RoutingStrategy("beam"))
+        with pytest.raises(ContractError, match="max_new_tokens"):
+            sample_greedy(model, np.arange(4), -2)
 
 
 class TestBetaZeroParity:

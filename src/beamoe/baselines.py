@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beam as beam_mod
+from . import dispatch
 from .moe import (
     MoEBlock,
     MoEBlockConfig,
@@ -301,8 +302,6 @@ def block_forward(
     Training keeps everything on the tape; inference executes the surviving
     slots through the dispatch plan plus shared experts.
     """
-    from . import dispatch
-
     x_n = block.normalize(h)
     rr = route(block, x_n, strategy, training, step, total_steps, binarize_soft)
     if training:

@@ -1,11 +1,12 @@
 """Binary expert-activation masking.
 
 A second linear router scores every expert per token; a sigmoid squashes the
-scores into (0, 1) and an inclusive 0.5 threshold turns them into a binary
-mask over the primary router's top-k candidates. Training keeps the mask in
-the graph through a straight-through binarizer and pressures it toward zero
-with an L1 term restricted to the candidate set; inference skips masked
-experts entirely via the dispatch module.
+scores into (0, 1) and an inclusive threshold tau (0.5 by default) turns them
+into a binary mask over the primary router's top-k candidates. Training keeps
+the mask in the graph through a straight-through binarizer and pressures it
+toward zero with an L1 term restricted to the candidate set; inference
+(``baselines.block_forward``) skips masked experts entirely via the dispatch
+module.
 """
 
 from __future__ import annotations
@@ -14,20 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispatch
-from .moe import MoEBlock, RouterDecision, expert_forward_np, moe_block_forward, topk_route
-from .tensor import (
-    ContractError,
-    Tensor,
-    add,
-    binarize_ste,
-    matmul,
-    mul,
-    sigmoid,
-    sigmoid_np,
-    slice_cols,
-    tsum,
-)
+from .tensor import ContractError, Tensor, binarize_ste, matmul, mul, sigmoid, tsum
 
 
 @dataclass
@@ -72,18 +60,6 @@ def mask_forward(x: Tensor, router: MaskRouter) -> MaskDecision:
     return MaskDecision(pre_activation=a, raw_mask=raw, mask=m)
 
 
-def masked_aggregate(
-    weights: Tensor, mask: Tensor, expert_outputs: list[Tensor]
-) -> tuple[Tensor, Tensor]:
-    """ghat = g * m (no renormalization); y = sum_i ghat_i * output_i."""
-    ghat = mul(weights, mask)
-    y: Tensor | None = None
-    for i, out_i in enumerate(expert_outputs):
-        term = mul(slice_cols(ghat, i, i + 1), out_i)
-        y = term if y is None else add(y, term)
-    return ghat, y
-
-
 def sparsity_loss(raw_mask: Tensor, topk_indices: np.ndarray) -> Tensor:
     """Token-mean L1 of the raw mask over each token's top-k candidates.
 
@@ -95,71 +71,3 @@ def sparsity_loss(raw_mask: Tensor, topk_indices: np.ndarray) -> Tensor:
     sel = np.zeros(raw_mask.shape)
     np.put_along_axis(sel, topk_indices, 1.0, axis=-1)
     return mul(tsum(mul(raw_mask, Tensor._raw(sel))), 1.0 / (t * k))
-
-
-def ste_backward(
-    upstream: np.ndarray,
-    weights: np.ndarray,
-    decision: MaskDecision,
-    beta: float,
-    k: int,
-) -> np.ndarray:
-    """Closed-form mask-router gradient; independent of the tape.
-
-    For the loss  L = L_task + beta * sparsity_loss  the gradient at each
-    pre-activation is
-
-        dL/da_i = (dL_task/dghat_i * g_i + beta/(K*T) * [i in candidates]) * sigma'(a_i)
-
-    with the binarizer treated as identity. ``upstream`` is dL_task/dghat.
-    The candidate indicator is recoverable from the weights: they are strictly
-    positive exactly on each token's top-k set. Outside it both terms vanish,
-    so masked-out experts receive no learning signal at all.
-    """
-    if beta < 0:
-        raise ContractError("beta must be non-negative")
-    t = upstream.shape[0]
-    indicator = (weights > 0.0).astype(np.float64)
-    s = sigmoid_np(decision.pre_activation.data)
-    return (upstream * weights + (beta / (k * t)) * indicator) * (s * (1.0 - s))
-
-
-def beam_block_forward(
-    h: Tensor,
-    block: MoEBlock,
-    training: bool = True,
-    block_size: int = 16,
-) -> tuple[Tensor, RouterDecision, MaskDecision]:
-    """Top-k routing, masking, and masked aggregation for one block.
-
-    Training mode evaluates every top-k candidate (masked ones included) so
-    gradients reach the mask router, and keeps everything on the tape.
-    Inference mode routes through the dispatch plan, skipping masked experts;
-    both modes accumulate per token in ascending expert order and produce
-    identical outputs.
-    """
-    cfg = block.cfg
-    x_n = block.normalize(h)
-    decision = topk_route(x_n, block.router_w, cfg.top_k)
-    maskdec = mask_forward(x_n, block.mask_router)
-
-    if training:
-        ghat = mul(decision.weights, maskdec.mask)
-        out = moe_block_forward(
-            h,
-            ghat,
-            block.experts,
-            block.shared,
-            x_norm=x_n,
-            activation=cfg.activation,
-            compute_ids=decision.topk_indices,
-        )
-        return out, decision, maskdec
-
-    ghat_np = decision.weights.data * maskdec.mask.data
-    masked_ids = dispatch.mask_route(decision.topk_indices, maskdec.pre_activation.data)
-    plan = dispatch.align_block(masked_ids, block_size, num_experts=cfg.num_experts)
-    y = dispatch.grouped_execute(x_n.data, plan, block.experts, ghat_np, cfg.activation)
-    for e in block.shared:
-        y = y + expert_forward_np(x_n.data, e, cfg.activation)
-    return Tensor._raw(h.data + y), decision, maskdec

@@ -219,8 +219,7 @@ def cmd_eval(args) -> int:
         binarize_soft=args.binarize_soft,
         trace_sampling=resolved["trace_sampling"],
     )
-    print(f"perplexity: {result.perplexity:.6f}")
-    print(f"avg_k: {result.avg_k:.6f}")
+    text = None
     if args.greedy and args.max_new_tokens > 0:
         prompt = corpus_ids[: model.cfg.context_length]
         generated = sample_greedy(
@@ -232,9 +231,14 @@ def cmd_eval(args) -> int:
             sequence_id=10**6,  # keep clear of eval window ids
         )
         text = "".join(vocab[i] for i in generated)
-        print(f"generated: {text!r}")
+    # written before anything is printed, so a reader that closes stdout
+    # early (``| head``) cannot cost the trace
     trace_path = Path(args.trace_out) if args.trace_out else out / "sparsity_trace.csv"
     trace.to_csv(trace_path)
+    print(f"perplexity: {result.perplexity:.6f}")
+    print(f"avg_k: {result.avg_k:.6f}")
+    if text is not None:
+        print(f"generated: {text!r}")
     print(f"trace: {trace_path}")
     return 0
 
@@ -263,35 +267,21 @@ def cmd_bench_dispatch(args) -> int:
         if not 0.0 < f <= 1.0:
             print(f"error: active fraction {f} outside (0, 1]", file=sys.stderr)
             return 2
-    backends = (
-        dispatch.available_backends() if args.backend == "both" else [args.backend]
+    rows = dispatch.bench_dispatch(
+        num_tokens=args.tokens,
+        num_experts=args.experts,
+        top_k=args.top_k,
+        d_h=args.d_h,
+        d_ff=args.d_ff,
+        active_fractions=fractions,
+        repetitions=args.reps,
+        block_size=args.block_size,
+        seed=args.seed,
     )
-    if args.backend == "auto":
-        backends = [dispatch.active_backend()]
-    rows = []
-    for backend in backends:
-        rows.extend(
-            dispatch.bench_dispatch(
-                num_tokens=args.tokens,
-                num_experts=args.experts,
-                top_k=args.top_k,
-                d_h=args.d_h,
-                d_ff=args.d_ff,
-                active_fractions=fractions,
-                repetitions=args.reps,
-                block_size=args.block_size,
-                seed=args.seed,
-                backend=backend,
-            )
-        )
-    include_backend = args.backend == "both"
-    header = dispatch.BENCH_CSV_HEADER + (",backend" if include_backend else "")
-    lines = [header]
-    for r in rows:
-        line = f"{r.active_fraction},{r.slots_executed},{r.wall_time_ns_min},{r.wall_time_ns_mean}"
-        if include_backend:
-            line += f",{r.backend}"
-        lines.append(line)
+    lines = [dispatch.BENCH_CSV_HEADER] + [
+        f"{r.active_fraction},{r.slots_executed},{r.wall_time_ns_min},{r.wall_time_ns_mean}"
+        for r in rows
+    ]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -404,12 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-ff", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "python", "cython", "both"],
-        help="'both' appends a backend column and times every available backend",
-    )
     p.set_defaults(func=cmd_bench_dispatch)
 
     p = sub.add_parser("compare", help="train and evaluate several strategies over shared seeds")
@@ -425,7 +409,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # surface a closed pipe here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point stdout at devnull
+        # so the interpreter's own flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ConfigError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,128 +1,85 @@
-"""Masked expert dispatch: route ids through the binary mask, group tokens
-by expert in block-aligned runs, and execute only the surviving slots.
+"""Masked expert dispatch: group the surviving (token, slot) pairs by expert
+and execute each expert once over its rows.
 
-The two hot kernels (id masking and expert-wise grouping) exist twice: a
-compiled Cython extension and a pure-numpy fallback with identical
-semantics. The compiled backend is preferred when the extension built;
-``BEAMOE_DISPATCH_BACKEND=python|cython`` overrides the choice.
+The plan is compressed-row: per-expert counts and offsets into one flat
+token order and one flat slot order. Block alignment, which a device layout
+would pad each expert's run to, is arithmetic only (``padded_count``); no
+array is padded, because numpy has no tiles for padding to fill.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..moe import Expert, expert_forward_np, topk_select
-from ..tensor import ContractError
-
-from . import _fallback
-
-try:
-    from . import _kernels
-except ImportError:
-    _kernels = None
-
-_BACKENDS = {"python": _fallback}
-if _kernels is not None:
-    _BACKENDS["cython"] = _kernels
-
-
-def _select_backend():
-    choice = os.environ.get("BEAMOE_DISPATCH_BACKEND", "auto")
-    if choice == "auto":
-        return _BACKENDS.get("cython", _fallback)
-    if choice not in _BACKENDS:
-        raise ContractError(
-            f"dispatch backend {choice!r} unavailable; have {sorted(_BACKENDS)}"
-        )
-    return _BACKENDS[choice]
-
-
-_backend = _select_backend()
-
-
-def active_backend() -> str:
-    return _backend.BACKEND_NAME
-
-
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def mask_route(
-    topk_ids: np.ndarray, mask_pre_activations: np.ndarray, backend: str | None = None
-) -> np.ndarray:
-    """Masked expert ids: entry (t, k) keeps its routed id when the token's
-    mask pre-activation for that expert is >= 0 (i.e. raw mask >= 0.5), and
-    becomes -1 otherwise. Invalid ids also map to -1."""
-    impl = _BACKENDS[backend] if backend else _backend
-    return impl.mask_route(topk_ids, np.ascontiguousarray(mask_pre_activations, dtype=np.float64))
+from .moe import Expert, expert_forward_np, topk_select
+from .tensor import ContractError
 
 
 @dataclass
 class DispatchPlan:
-    """Expert-grouped, block-aligned slot layout.
+    """Expert-grouped slot layout in compressed-row form.
 
-    Per expert: ``tokens[e]``/``slots[e]`` hold the real (token, k-slot)
-    pairs in ascending scan order, then -1 padding up to a multiple of
-    ``block_size``. Padding is bookkeeping parity with the device layout the
-    plan mirrors; padded slots carry no work.
+    Expert e owns ``token_order[offsets[e]:offsets[e + 1]]`` and the same
+    range of ``slot_order``: its real (token, k-slot) pairs in ascending
+    (token, slot) order. ``padded_count(e)`` is the length a block-aligned
+    layout would give that run; no array carries the padding.
     """
 
     block_size: int
-    num_experts: int
-    tokens: list[np.ndarray]
-    slots: list[np.ndarray]
     real_counts: np.ndarray
+    offsets: np.ndarray
+    token_order: np.ndarray
+    slot_order: np.ndarray
+
+    @property
+    def num_experts(self) -> int:
+        return len(self.real_counts)
 
     @property
     def total_real(self) -> int:
-        return int(self.real_counts.sum())
+        return int(self.offsets[-1])
 
     def padded_count(self, expert: int) -> int:
-        return len(self.tokens[expert])
+        return -(-int(self.real_counts[expert]) // self.block_size) * self.block_size
 
 
 def align_block(
     ids: np.ndarray,
     block_size: int,
     num_experts: int | None = None,
-    backend: str | None = None,
 ) -> DispatchPlan:
-    """Group unmasked slots by expert and pad each group to a block multiple.
+    """Group the unmasked slots of a (T, K) id array by expert.
 
-    All -1 entries are ignored. Within an expert, slots keep ascending
-    (token, k-slot) order so downstream accumulation order is deterministic.
+    -1 marks a masked slot; any other id outside [0, num_experts) is
+    rejected. Within an expert, slots keep ascending (token, k-slot) order
+    so downstream accumulation order is deterministic.
     """
     if block_size < 1:
         raise ContractError("block_size must be >= 1")
     ids = np.asarray(ids, dtype=np.int64)
+    _, k = ids.shape
     if num_experts is None:
         num_experts = int(ids.max()) + 1 if ids.size and ids.max() >= 0 else 0
-    impl = _BACKENDS[backend] if backend else _backend
-    counts, token_order, slot_order = impl.group_by_expert(ids, num_experts)
-    tokens: list[np.ndarray] = []
-    slots: list[np.ndarray] = []
-    offset = 0
-    for e in range(num_experts):
-        c = int(counts[e])
-        padded = ((c + block_size - 1) // block_size) * block_size
-        tok = np.full(padded, -1, dtype=np.int64)
-        slo = np.full(padded, -1, dtype=np.int64)
-        tok[:c] = token_order[offset : offset + c]
-        slo[:c] = slot_order[offset : offset + c]
-        tokens.append(tok)
-        slots.append(slo)
-        offset += c
+    if ids.size and (ids.min() < -1 or ids.max() >= num_experts):
+        raise ContractError(
+            f"expert ids must lie in [-1, {num_experts}); got {ids.min()}..{ids.max()}"
+        )
+    flat = ids.reshape(-1)
+    real = np.nonzero(flat >= 0)[0]  # ascending flat index == (token, slot) order
+    experts = flat[real]
+    counts = np.bincount(experts, minlength=num_experts)
+    offsets = np.zeros(num_experts + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    picked = real[np.argsort(experts, kind="stable")]
     return DispatchPlan(
         block_size=block_size,
-        num_experts=num_experts,
-        tokens=tokens,
-        slots=slots,
         real_counts=counts,
+        offsets=offsets,
+        token_order=picked // k,
+        slot_order=picked % k,
     )
 
 
@@ -139,15 +96,15 @@ def grouped_execute(
     zero contribution, and per-token accumulation follows ascending expert
     id. The weights' nonzero pattern must agree with the plan.
     """
-    t = h.shape[0]
     if int(np.count_nonzero(weights_hat)) != plan.total_real:
         raise ContractError("weights_hat nonzero count disagrees with plan slots")
     y = np.zeros_like(h)
+    bounds = plan.offsets.tolist()
     for e in range(plan.num_experts):
-        c = int(plan.real_counts[e])
-        if c == 0:
+        lo, hi = bounds[e], bounds[e + 1]
+        if lo == hi:
             continue
-        rows = plan.tokens[e][:c]
+        rows = plan.token_order[lo:hi]
         w = weights_hat[rows, e]
         if np.any(w == 0.0):
             raise ContractError(f"plan routes a zero-weight slot to expert {e}")
@@ -180,7 +137,6 @@ class BenchRow:
     slots_executed: int
     wall_time_ns_min: int
     wall_time_ns_mean: float
-    backend: str
 
 
 BENCH_CSV_HEADER = "active_fraction,slots_executed,wall_time_ns_min,wall_time_ns_mean"
@@ -196,7 +152,6 @@ def bench_dispatch(
     repetitions: int,
     block_size: int = 16,
     seed: int = 0,
-    backend: str | None = None,
 ) -> list[BenchRow]:
     """Time grouped_execute at synthetic activity levels.
 
@@ -213,7 +168,6 @@ def bench_dispatch(
     experts = [Expert.init_random(d_h, d_ff, rng) for _ in range(num_experts)]
     base_ids = topk_select(rng.normal(0.0, 1.0, (num_tokens, num_experts)), top_k)
     base_weights = rng.uniform(0.1, 1.0, (num_tokens, top_k))
-    backend_name = backend or active_backend()
 
     rows = []
     for fraction in active_fractions:
@@ -226,7 +180,7 @@ def bench_dispatch(
         rows_idx = np.repeat(np.arange(num_tokens), top_k)[keep_flat]
         cols_idx = base_ids.reshape(-1)[keep_flat]
         weights_hat[rows_idx, cols_idx] = base_weights.reshape(-1)[keep_flat]
-        plan = align_block(masked_ids, block_size, num_experts, backend=backend_name)
+        plan = align_block(masked_ids, block_size, num_experts)
 
         timings = []
         for _ in range(repetitions):
@@ -239,7 +193,6 @@ def bench_dispatch(
                 slots_executed=plan.total_real,
                 wall_time_ns_min=min(timings),
                 wall_time_ns_mean=float(np.mean(timings)),
-                backend=backend_name,
             )
         )
     return rows

@@ -163,12 +163,6 @@ def balance_loss_from(logits: Tensor, active: np.ndarray) -> Tensor:
     return mul(tsum(mul(p, Tensor._raw(f))), float(n))
 
 
-def load_balance_loss(decision: RouterDecision) -> Tensor:
-    active = np.zeros(decision.weights.shape, dtype=bool)
-    np.put_along_axis(active, decision.topk_indices, True, axis=-1)
-    return balance_loss_from(decision.logits, active)
-
-
 class MoEBlock:
     """Parameter container for one MoE layer.
 

@@ -10,6 +10,12 @@
   last-position decode of ``sample_greedy`` is checked against it.
 - The version-1 checkpoint writer (no vocabulary): the loader must keep
   reading its files.
+- BEAM oracles: ``masked_aggregate`` (the per-expert tape composition of
+  ghat = g * m), ``ste_backward`` (the closed-form mask-router gradient of
+  criterion 2) and ``load_balance_loss`` over a plain top-k decision.
+- ``beam_block_forward``: one ``beam`` block through the production
+  ``baselines.block_forward``, returned with its top-k and mask decisions
+  for the tests that inspect them.
 """
 
 import csv
@@ -20,7 +26,20 @@ import zlib
 import numpy as np
 
 from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER
-from beamoe.tensor import ContractError, Tensor, _as_tensor, _record, _send
+from beamoe.baselines import RoutingStrategy, block_forward
+from beamoe.beam import MaskDecision, mask_forward
+from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route
+from beamoe.tensor import (
+    ContractError,
+    Tensor,
+    _as_tensor,
+    _record,
+    _send,
+    add,
+    mul,
+    sigmoid_np,
+    slice_cols,
+)
 from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
 
 
@@ -237,3 +256,60 @@ def save_checkpoint_v1(model, path) -> None:
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     with open(path, "wb") as f:
         f.write(bytes(blob))
+
+
+def masked_aggregate(
+    weights: Tensor, mask: Tensor, expert_outputs: list[Tensor]
+) -> tuple[Tensor, Tensor]:
+    """ghat = g * m (no renormalization); y = sum_i ghat_i * output_i."""
+    ghat = mul(weights, mask)
+    y: Tensor | None = None
+    for i, out_i in enumerate(expert_outputs):
+        term = mul(slice_cols(ghat, i, i + 1), out_i)
+        y = term if y is None else add(y, term)
+    return ghat, y
+
+
+def ste_backward(
+    upstream: np.ndarray,
+    weights: np.ndarray,
+    decision: MaskDecision,
+    beta: float,
+    k: int,
+) -> np.ndarray:
+    """Closed-form mask-router gradient; independent of the tape.
+
+    For the loss  L = L_task + beta * sparsity_loss  the gradient at each
+    pre-activation is
+
+        dL/da_i = (dL_task/dghat_i * g_i + beta/(K*T) * [i in candidates]) * sigma'(a_i)
+
+    with the binarizer treated as identity. ``upstream`` is dL_task/dghat.
+    The candidate indicator is recoverable from the weights: they are strictly
+    positive exactly on each token's top-k set. Outside it both terms vanish,
+    so masked-out experts receive no learning signal at all.
+    """
+    if beta < 0:
+        raise ContractError("beta must be non-negative")
+    t = upstream.shape[0]
+    indicator = (weights > 0.0).astype(np.float64)
+    s = sigmoid_np(decision.pre_activation.data)
+    return (upstream * weights + (beta / (k * t)) * indicator) * (s * (1.0 - s))
+
+
+def load_balance_loss(decision: RouterDecision) -> Tensor:
+    active = np.zeros(decision.weights.shape, dtype=bool)
+    np.put_along_axis(active, decision.topk_indices, True, axis=-1)
+    return balance_loss_from(decision.logits, active)
+
+
+def beam_block_forward(
+    h: Tensor, block: MoEBlock, training: bool = True
+) -> tuple[Tensor, RouterDecision, MaskDecision]:
+    """``baselines.block_forward`` under ``beam`` at the block's own tau,
+    with the top-k and mask decisions recomputed from the same input."""
+    strategy = RoutingStrategy("beam", {"tau": block.mask_router.tau})
+    out, _ = block_forward(h, block, strategy, training)
+    x_n = block.normalize(h)
+    decision = topk_route(x_n, block.router_w, block.cfg.top_k)
+    return out, decision, mask_forward(x_n, block.mask_router)

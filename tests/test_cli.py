@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,37 @@ class TestEvalCommand:
         trace = SparsityTrace.from_csv(trace_out)
         assert set(trace.phase) == {"prefill"}
 
+    def test_closed_stdout_keeps_trace(self, trained, tmp_path, monkeypatch, capsys):
+        # stdout of ``beamoe eval ... | head -2`` once head has exited
+        cfg_path, out = trained
+        trace_out = tmp_path / "t3.csv"
+        with open(tmp_path / "stdout", "w") as sink:
+
+            class ClosedPipe:
+                def write(self, text):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def flush(self):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return sink.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(
+                [
+                    "eval",
+                    "--checkpoint", str(out / "checkpoint.bin"),
+                    "--config", str(cfg_path),
+                    "--greedy", "--max-new-tokens", "2",
+                    "--trace-out", str(trace_out),
+                ]
+            )
+            monkeypatch.undo()
+        assert code == 1
+        assert set(SparsityTrace.from_csv(trace_out).phase) == {"prefill", "decode"}
+        assert "error:" not in capsys.readouterr().err
+
     def test_vocab_mismatch_fails(self, trained, tmp_path):
         cfg_path, out = trained
         tiny = tmp_path / "tiny.txt"
@@ -281,22 +313,6 @@ class TestBenchCommand:
 
     def test_invalid_fraction_exits_2(self):
         assert main(["bench-dispatch", "--active-fractions", "1.5"]) == 2
-
-    def test_both_backends_adds_column(self, tmp_path, capsys):
-        import beamoe.dispatch as d
-
-        code = main(
-            [
-                "bench-dispatch", "--backend", "both",
-                "--active-fractions", "1.0",
-                "--tokens", "16", "--experts", "4", "--top-k", "2",
-                "--d-h", "8", "--d-ff", "8", "--reps", "1",
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].endswith(",backend")
-        assert len(lines) == 1 + len(d.available_backends())
 
 
 class TestCompareCommand:

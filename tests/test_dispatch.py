@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from beamoe import dispatch
-from beamoe.dispatch import (
-    align_block,
-    bench_dispatch,
-    grouped_execute,
-    mask_route,
-    naive_execute,
-)
+from beamoe.dispatch import align_block, bench_dispatch, grouped_execute, naive_execute
 from beamoe.moe import Expert
 from beamoe.tensor import ContractError
-
-BACKENDS = dispatch.available_backends()
 
 
 def random_scenario(rng, t=16, n=8, k=4, d_h=6, d_ff=5, mask_prob=0.4):
@@ -30,66 +21,22 @@ def random_scenario(rng, t=16, n=8, k=4, d_h=6, d_ff=5, mask_prob=0.4):
     return h, ids, masked_ids, weights, experts
 
 
-class TestMaskRoute:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sign_rule(self, backend):
-        # expert 3 has a non-negative pre-activation, expert 5 a negative one
-        a = np.zeros((1, 8))
-        a[0, 3] = 0.2
-        a[0, 5] = -0.1
-        out = mask_route(np.array([[3, 5]]), a, backend=backend)
-        assert out.tolist() == [[3, -1]]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_init_keeps_everything(self, backend):
-        ids = np.array([[0, 1], [2, 3]])
-        out = mask_route(ids, np.zeros((2, 4)), backend=backend)
-        assert np.array_equal(out, ids)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_invalid_ids_map_to_minus_one(self, backend):
-        a = np.zeros((1, 4))
-        out = mask_route(np.array([[-1, 7, 2]]), a, backend=backend)
-        assert out.tolist() == [[-1, -1, 2]]
-
-    def test_backends_bit_identical(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("compiled backend unavailable")
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            t, k, n = int(rng.integers(1, 30)), int(rng.integers(1, 6)), int(rng.integers(2, 10))
-            ids = rng.integers(-2, n + 2, (t, k)).astype(np.int64)
-            a = rng.normal(size=(t, n))
-            outs = [mask_route(ids, a, backend=b) for b in BACKENDS]
-            assert np.array_equal(outs[0], outs[1])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        ids = rng.integers(-1, 8, (10, 4)).astype(np.int64)
-        a = rng.normal(size=(10, 8))
-        once = mask_route(ids, a)
-        twice = mask_route(once, a)
-        assert np.array_equal(once, twice)
-
-
 class TestAlignBlock:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_masked_empty_plan(self, backend):
-        plan = align_block(np.full((5, 3), -1), 16, num_experts=4, backend=backend)
+    def test_all_masked_empty_plan(self):
+        plan = align_block(np.full((5, 3), -1), 16, num_experts=4)
         assert plan.total_real == 0
         assert all(plan.padded_count(e) == 0 for e in range(4))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hand_grouping(self, backend):
-        # expert 0 gets one real slot (pad to 2); expert 1 gets two (no pad)
+    def test_hand_grouping(self):
+        # expert 0 gets one real slot (pads to 2); expert 1 gets two (no pad)
         ids = np.array([[0, 1], [1, -1]])
-        plan = align_block(ids, 2, num_experts=2, backend=backend)
+        plan = align_block(ids, 2, num_experts=2)
+        assert plan.num_experts == 2
         assert plan.real_counts.tolist() == [1, 2]
+        assert plan.offsets.tolist() == [0, 1, 3]
         assert plan.padded_count(0) == 2 and plan.padded_count(1) == 2
-        assert plan.tokens[0][:1].tolist() == [0]
-        assert plan.tokens[0][1] == -1  # padding
-        assert plan.tokens[1].tolist() == [0, 1]
-        assert plan.slots[1].tolist() == [1, 0]
+        assert plan.token_order.tolist() == [0, 0, 1]
+        assert plan.slot_order.tolist() == [0, 1, 0]
 
     def test_block_size_one_no_padding(self):
         rng = np.random.default_rng(2)
@@ -113,26 +60,25 @@ class TestAlignBlock:
             ids = rng.integers(-1, 8, (rng.integers(1, 50), rng.integers(1, 5))).astype(np.int64)
             plan = align_block(ids, 16, num_experts=8)
             assert plan.total_real == int((ids >= 0).sum())
-            # every real (token, slot) appears exactly once across experts
+            assert plan.offsets.tolist() == [0] + np.cumsum(plan.real_counts).tolist()
+            # every real (token, slot) appears exactly once across experts,
+            # in ascending (token, slot) order within its expert
             seen = set()
             for e in range(8):
-                c = plan.real_counts[e]
-                for tok, slot in zip(plan.tokens[e][:c], plan.slots[e][:c]):
+                lo, hi = plan.offsets[e], plan.offsets[e + 1]
+                pairs = list(zip(plan.token_order[lo:hi].tolist(), plan.slot_order[lo:hi].tolist()))
+                assert pairs == sorted(pairs)
+                for tok, slot in pairs:
                     assert ids[tok, slot] == e
-                    seen.add((int(tok), int(slot)))
+                    seen.add((tok, slot))
             assert len(seen) == plan.total_real
 
-    def test_backends_bit_identical(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("compiled backend unavailable")
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            ids = rng.integers(-1, 6, (25, 4)).astype(np.int64)
-            plans = [align_block(ids, 8, num_experts=6, backend=b) for b in BACKENDS]
-            assert np.array_equal(plans[0].real_counts, plans[1].real_counts)
-            for e in range(6):
-                assert np.array_equal(plans[0].tokens[e], plans[1].tokens[e])
-                assert np.array_equal(plans[0].slots[e], plans[1].slots[e])
+    def test_out_of_range_ids_rejected(self):
+        for bad in ([[5, 1], [-3, 0]], [[4, 0]], [[-2, 1]]):
+            with pytest.raises(ContractError):
+                align_block(np.array(bad), 16, num_experts=4)
+        with pytest.raises(ContractError):
+            align_block(np.array([[-3, 0]]), 16)
 
 
 class TestGroupedExecute:

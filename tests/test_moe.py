@@ -7,7 +7,6 @@ from beamoe.moe import (
     MoEBlockConfig,
     expert_forward,
     expert_forward_np,
-    load_balance_loss,
     moe_block_forward,
     topk_route,
     topk_select,
@@ -25,7 +24,7 @@ from beamoe.tensor import (
     tsum,
 )
 
-from reference_ops import gather_rc, scatter_rows
+from reference_ops import gather_rc, load_balance_loss, scatter_rows
 
 
 def make_expert(d_h, d_ff, rng, std=0.5):

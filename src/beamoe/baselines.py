@@ -2,9 +2,11 @@
 binary mask, and its soft-mask ablation variants.
 
 Every strategy reduces to the same interface: given normalized token inputs
-and a block's parameters, produce the final per-expert weight matrix plus
-the bookkeeping (candidates, activation bits, balance sets) the trainer and
-analysis layers consume.
+and a block's parameters, produce a ``RouteResult``. It stores the final
+per-expert weight matrix, the router logits, the balance sets, one slot set
+(candidate ids plus an active bit per candidate) and the raw mask of masked
+strategies. Active counts, kept ids and the sparsity-loss candidate set are
+derived from the slot set, never stored.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .moe import (
 from .tensor import (
     ContractError,
     Tensor,
+    binarize_ste,
     div,
     matmul,
     mul,
@@ -116,18 +119,38 @@ def build_block(
 
 @dataclass
 class RouteResult:
-    """Everything downstream consumers need from one routing pass."""
+    """Everything downstream consumers need from one routing pass.
+
+    One slot set is stored: the candidates and an active bit per candidate.
+    Counts, kept ids and the sparsity-loss candidate set are derived from it,
+    so the encodings cannot disagree.
+    """
 
     weights_hat: Tensor  # (T, N) final expert weights
     logits: Tensor  # router logits, (T, N) or (T, N + nulls)
     balance_active: np.ndarray  # bool, same width as logits
     candidate_ids: np.ndarray  # (T, K), (T, N) for moe_dynamic; -1 marks a null slot
     active_bits: np.ndarray  # same shape, 0/1 per candidate slot
-    active_counts: np.ndarray  # (T,) activated experts per token
     raw_mask: Tensor | None = None  # sigmoid mask values, masked strategies only
-    reg_indices: np.ndarray | None = None  # candidate set for the sparsity loss
-    compute_ids: np.ndarray | None = None  # force-evaluate set for training
-    kept_ids: np.ndarray | None = None  # candidate ids with -1 where skippable
+
+    @property
+    def active_counts(self) -> np.ndarray:
+        """(T,) activated experts per token."""
+        return self.active_bits.sum(axis=-1)
+
+    @property
+    def kept_ids(self) -> np.ndarray:
+        """Candidate ids with -1 on every inactive slot: the inference dispatch set.
+
+        In soft-mask training this hides the hard-closed slots, which still run
+        (``block_forward`` executes every candidate of a masked strategy).
+        """
+        return np.where(self.active_bits == 1, self.candidate_ids, np.int64(-1))
+
+    @property
+    def reg_indices(self) -> np.ndarray | None:
+        """Candidate set of the sparsity loss, masked strategies only."""
+        return self.candidate_ids if self.raw_mask is not None else None
 
 
 def dynamic_select(probs: np.ndarray, phi: float) -> np.ndarray:
@@ -165,125 +188,71 @@ def route(
     total_steps: int = 1,
     binarize_soft: bool = False,
 ) -> RouteResult:
-    cfg = block.cfg
-    k = cfg.top_k
-    n = cfg.num_experts
+    n = block.cfg.num_experts
     kind = strategy.kind
     p = strategy.params
-
-    if kind in ("vanilla_topk", "topk_reduced", "topk_pruning"):
-        if kind == "topk_reduced":
-            k_eff = p.get("k_small", k)
-        elif kind == "topk_pruning" and not training:
-            k_eff = p.get("k_infer", k)
-        else:
-            k_eff = k
-        dec = topk_route(x_norm, block.router_w, k_eff)
-        ids = dec.topk_indices
-        return RouteResult(
-            weights_hat=dec.weights,
-            logits=dec.logits,
-            balance_active=_one_hot(ids, n),
-            candidate_ids=ids,
-            active_bits=np.ones(ids.shape, dtype=np.int64),
-            active_counts=np.full(ids.shape[0], k_eff, dtype=np.int64),
-            kept_ids=ids,
-        )
 
     if kind == "moe_dynamic":
         logits = matmul(x_norm, block.router_w)
         probs = softmax(logits)
         active = dynamic_select(probs.data, p.get("phi", 0.5))
         masked = mul(probs, Tensor._raw(active.astype(np.float64)))
-        weights_hat = div(masked, tsum(masked, axis=-1, keepdims=True))
         # every expert is a candidate, in descending-probability order: the
         # top-p set can hold more than K experts, and inference must run
         # (and the trace record) all of them, as training does
         order = topk_select(probs.data, n)
-        bits = np.take_along_axis(active, order, axis=-1).astype(np.int64)
-        counts = active.sum(axis=-1).astype(np.int64)
-        kept = np.where(bits == 1, order, np.int64(-1))
         return RouteResult(
-            weights_hat=weights_hat,
+            weights_hat=div(masked, tsum(masked, axis=-1, keepdims=True)),
             logits=logits,
             balance_active=active,
             candidate_ids=order,
-            active_bits=bits,
-            active_counts=counts,
-            kept_ids=kept,
+            active_bits=np.take_along_axis(active, order, axis=-1).astype(np.int64),
         )
+
+    k = block.cfg.top_k
+    if kind == "topk_reduced":
+        k = p.get("k_small", k)
+    elif kind == "topk_pruning" and not training:
+        k = p.get("k_infer", k)
+    dec = topk_route(x_norm, block.router_w, k)  # ada_moe: over N + null columns
+    ids = dec.topk_indices
+    balance_active = _one_hot(ids, block.router_w.shape[-1])
+    weights_hat = dec.weights
+    bits = np.ones(ids.shape, dtype=np.int64)
+    raw_mask = None
 
     if kind == "ada_moe":
-        dec = topk_route(x_norm, block.router_w, k)  # over N + null columns
-        ids_ext = dec.topk_indices
-        weights_hat = slice_cols(dec.weights, 0, n)
-        real = ids_ext < n
-        candidate_ids = np.where(real, ids_ext, np.int64(-1))
-        return RouteResult(
-            weights_hat=weights_hat,
-            logits=dec.logits,
-            balance_active=_one_hot(ids_ext, block.router_w.shape[-1]),
-            candidate_ids=candidate_ids,
-            active_bits=real.astype(np.int64),
-            active_counts=real.sum(axis=-1).astype(np.int64),
-            kept_ids=candidate_ids,
-        )
-
-    dec = topk_route(x_norm, block.router_w, k)
-    ids = dec.topk_indices
-    tau = block.mask_router.tau
-
-    if kind == "beam":
+        real = ids < n
+        weights_hat = slice_cols(weights_hat, 0, n)
+        ids = np.where(real, ids, np.int64(-1))
+        bits = real.astype(np.int64)
+    elif kind == "beam":
         maskdec = beam_mod.mask_forward(x_norm, block.mask_router)
-        weights_hat = mul(dec.weights, maskdec.mask)
+        weights_hat = mul(weights_hat, maskdec.mask)
         bits = np.take_along_axis(maskdec.binary_mask, ids, axis=-1)
-        return RouteResult(
-            weights_hat=weights_hat,
-            logits=dec.logits,
-            balance_active=_one_hot(ids, n),
-            candidate_ids=ids,
-            active_bits=bits,
-            active_counts=bits.sum(axis=-1),
-            raw_mask=maskdec.raw_mask,
-            reg_indices=ids,
-            compute_ids=ids if training else None,
-            kept_ids=np.where(bits == 1, ids, np.int64(-1)),
-        )
-
-    # soft variants
-    if kind == "soft_mask_tempered":
-        floor = p.get("temp_floor", 0.1)
-        temp = temperature_at(step, total_steps, floor) if training else floor
-    else:
+        raw_mask = maskdec.raw_mask
+    elif kind in _MASKED_KINDS:  # soft variants
+        tau = block.mask_router.tau
         temp = 1.0
-    a = matmul(x_norm, block.mask_router.weight)
-    soft = sigmoid(mul(a, 1.0 / temp))
-    hard = (soft.data >= tau).astype(np.int64)
-    bits_hard = np.take_along_axis(hard, ids, axis=-1)
+        if kind == "soft_mask_tempered":
+            floor = p.get("temp_floor", 0.1)
+            temp = temperature_at(step, total_steps, floor) if training else floor
+        raw_mask = sigmoid(mul(matmul(x_norm, block.mask_router.weight), 1.0 / temp))
+        discretize = not training and (kind == "soft_mask_tempered" or binarize_soft)
+        weights_hat = mul(weights_hat, binarize_ste(raw_mask, tau) if discretize else raw_mask)
+        # undiscretized, the soft mask only rescales weights: at inference
+        # every candidate runs
+        if training or discretize:
+            hard = (raw_mask.data >= tau).astype(np.int64)
+            bits = np.take_along_axis(hard, ids, axis=-1)
 
-    discretize = (not training) and (kind == "soft_mask_tempered" or binarize_soft)
-    if discretize:
-        from .tensor import binarize_ste
-
-        weights_hat = mul(dec.weights, binarize_ste(soft, tau))
-        bits = bits_hard
-        kept = np.where(bits == 1, ids, np.int64(-1))
-    else:
-        weights_hat = mul(dec.weights, soft)
-        # every candidate executes: the soft mask only rescales weights
-        bits = np.ones(ids.shape, dtype=np.int64) if not training else bits_hard
-        kept = ids
     return RouteResult(
         weights_hat=weights_hat,
         logits=dec.logits,
-        balance_active=_one_hot(ids, n),
+        balance_active=balance_active,
         candidate_ids=ids,
         active_bits=bits,
-        active_counts=bits.sum(axis=-1),
-        raw_mask=soft,
-        reg_indices=ids,
-        compute_ids=ids if training else None,
-        kept_ids=kept,
+        raw_mask=raw_mask,
     )
 
 
@@ -295,12 +264,13 @@ def block_forward(
     step: int = 0,
     total_steps: int = 1,
     binarize_soft: bool = False,
-    block_size: int = 16,
 ) -> tuple[Tensor, RouteResult]:
     """One full MoE block under the given strategy.
 
-    Training keeps everything on the tape; inference executes the surviving
-    slots through the dispatch plan plus shared experts.
+    Training keeps everything on the tape and, for masked strategies, runs
+    every candidate, closed slots included, because the straight-through
+    estimator needs their outputs. Inference executes the kept slots through
+    the dispatch plan plus shared experts.
     """
     x_n = block.normalize(h)
     rr = route(block, x_n, strategy, training, step, total_steps, binarize_soft)
@@ -312,11 +282,11 @@ def block_forward(
             block.shared,
             x_norm=x_n,
             activation=block.cfg.activation,
-            compute_ids=rr.compute_ids,
+            compute_ids=rr.candidate_ids if rr.raw_mask is not None else None,
         )
         return out, rr
 
-    plan = dispatch.align_block(rr.kept_ids, block_size, num_experts=block.cfg.num_experts)
+    plan = dispatch.align_block(rr.kept_ids, num_experts=block.cfg.num_experts)
     y = dispatch.grouped_execute(
         x_n.data, plan, block.experts, rr.weights_hat.data, block.cfg.activation
     )

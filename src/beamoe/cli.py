@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,31 +40,17 @@ class ConfigError(ValueError):
     pass
 
 
-_MODEL_DEFAULTS = {
-    "vocab_size": None,  # resolved from the corpus when omitted
-    "d_h": 64,
-    "n_layers": 2,
-    "n_heads": 4,
-    "context_length": 64,
-    "d_ff": 128,
-    "num_experts": 8,
-    "top_k": 4,
-    "num_shared": 0,
-    "has_norm": True,
-    "activation": "silu",
-    "seed": 0,
-}
+def _dataclass_defaults(cls, skip: tuple[str, ...] = ()) -> dict:
+    return {
+        f.name: None if f.default is MISSING else f.default
+        for f in fields(cls)
+        if f.name not in skip
+    }
 
-_TRAIN_DEFAULTS = {
-    "learning_rate": 3e-3,
-    "warmup_ratio": 0.03,
-    "alpha": 1e-3,
-    "beta": 0.0,
-    "batch_size": 8,
-    "steps": 200,
-    "grad_clip_norm": 1.0,
-    "seed": 0,
-}
+
+# vocab_size has no default: None resolves it from the corpus
+_MODEL_DEFAULTS = _dataclass_defaults(ModelConfig, skip=("strategy",))
+_TRAIN_DEFAULTS = _dataclass_defaults(TrainConfig)
 
 _CORPUS_KEYS = {"synthetic": {"kind", "length", "seed"}, "file": {"kind", "path"}}
 
@@ -263,10 +249,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_bench_dispatch(args) -> int:
     fractions = [float(x) for x in args.active_fractions.split(",") if x]
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            print(f"error: active fraction {f} outside (0, 1]", file=sys.stderr)
-            return 2
     rows = dispatch.bench_dispatch(
         num_tokens=args.tokens,
         num_experts=args.experts,
@@ -275,7 +257,6 @@ def cmd_bench_dispatch(args) -> int:
         d_ff=args.d_ff,
         active_fractions=fractions,
         repetitions=args.reps,
-        block_size=args.block_size,
         seed=args.seed,
     )
     lines = [dispatch.BENCH_CSV_HEADER] + [
@@ -385,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-dispatch", help="time grouped execution at several activity levels")
     p.add_argument("--active-fractions", default="1.0,0.5,0.25")
-    p.add_argument("--block-size", type=int, default=16)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--tokens", type=int, default=4096)
     p.add_argument("--experts", type=int, default=8)

@@ -48,7 +48,7 @@ class DispatchPlan:
 
 def align_block(
     ids: np.ndarray,
-    block_size: int,
+    block_size: int = 16,
     num_experts: int | None = None,
 ) -> DispatchPlan:
     """Group the unmasked slots of a (T, K) id array by expert.
@@ -150,7 +150,6 @@ def bench_dispatch(
     d_ff: int,
     active_fractions: list[float],
     repetitions: int,
-    block_size: int = 16,
     seed: int = 0,
 ) -> list[BenchRow]:
     """Time grouped_execute at synthetic activity levels.
@@ -162,7 +161,7 @@ def bench_dispatch(
     """
     for f in active_fractions:
         if not 0.0 < f <= 1.0:
-            raise ContractError("active fractions must lie in (0, 1]")
+            raise ContractError(f"active fraction {f} outside (0, 1]")
     rng = np.random.default_rng(seed)
     h = rng.normal(0.0, 1.0, (num_tokens, d_h))
     experts = [Expert.init_random(d_h, d_ff, rng) for _ in range(num_experts)]
@@ -180,7 +179,7 @@ def bench_dispatch(
         rows_idx = np.repeat(np.arange(num_tokens), top_k)[keep_flat]
         cols_idx = base_ids.reshape(-1)[keep_flat]
         weights_hat[rows_idx, cols_idx] = base_weights.reshape(-1)[keep_flat]
-        plan = align_block(masked_ids, block_size, num_experts)
+        plan = align_block(masked_ids, num_experts=num_experts)
 
         timings = []
         for _ in range(repetitions):

@@ -295,7 +295,6 @@ def moe_block_forward(
     x_norm: Tensor | None = None,
     activation: str = "silu",
     compute_ids: np.ndarray | None = None,
-    shared_weight: float = 1.0,
 ) -> Tensor:
     """Residual MoE update h' = h + sum_i ghat_i E_i(N(h)) + shared terms.
 
@@ -335,8 +334,6 @@ def moe_block_forward(
         y = grouped_glu(x_norm, weights_hat, np.split(rows, bounds), experts, activation)
     for e in shared_experts:
         so = expert_forward(x_norm, e, activation)
-        if shared_weight != 1.0:
-            so = mul(so, shared_weight)
         y = so if y is None else add(y, so)
 
     if y is None:

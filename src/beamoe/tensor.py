@@ -474,11 +474,6 @@ def binarize_ste(x: Tensor, threshold: float) -> Tensor:
     return out
 
 
-def rms_norm_np(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    ms = (x * x).mean(axis=-1, keepdims=True) + eps
-    return x * (ms**-0.5) * weight
-
-
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     """Root-mean-square normalization over the last axis with learnable scale."""
     x, weight = _as_tensor(x), _as_tensor(weight)

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from beamoe.analysis import SparsityTrace, parse_report
 from beamoe.cli import ConfigError, load_config, main, resolve_config
+from beamoe.trainer import ModelConfig, TrainConfig
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -70,6 +72,20 @@ class TestConfigValidation:
         resolved = load_config(path)
         assert resolved["train"]["alpha"] == 1e-3
         assert resolved["model"]["num_shared"] == 0
+
+    def test_minimal_config_gets_dataclass_defaults(self):
+        raw = {
+            "version": 1,
+            "strategy": {"kind": "beam"},
+            "corpus": {"kind": "synthetic"},
+            "output_dir": "out",
+        }
+        resolved = resolve_config(raw)
+        model = asdict(ModelConfig(vocab_size=1))
+        del model["strategy"]
+        model["vocab_size"] = None  # resolved from the corpus at train time
+        assert resolved["model"] == model
+        assert resolved["train"] == asdict(TrainConfig())
 
     def test_resolved_config_roundtrips(self, tmp_path):
         path, _ = write_config(tmp_path)
@@ -313,6 +329,10 @@ class TestBenchCommand:
 
     def test_invalid_fraction_exits_2(self):
         assert main(["bench-dispatch", "--active-fractions", "1.5"]) == 2
+
+    def test_invalid_fraction_named_in_error(self, capsys):
+        assert main(["bench-dispatch", "--active-fractions", "0.5,0"]) == 2
+        assert "active fraction 0.0 outside (0, 1]" in capsys.readouterr().err
 
 
 class TestCompareCommand:

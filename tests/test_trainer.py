@@ -445,6 +445,64 @@ class TestLastPositionForward:
             model.forward(np.zeros((1, 4), dtype=np.int64), training=True, last_position_only=True)
 
 
+def _slot_matrix(ids, num_experts):
+    """(T, N) bool matrix of the (token, expert) pairs an id array names; -1 is none."""
+    rows = np.repeat(np.arange(ids.shape[0]), ids.shape[1])
+    flat = ids.reshape(-1)
+    out = np.zeros((ids.shape[0], num_experts), dtype=bool)
+    out[rows[flat >= 0], flat[flat >= 0]] = True
+    return out
+
+
+SLOT_SET_CASES = [(s, False) for s in ALL_STRATEGIES] + [
+    (RoutingStrategy("moe_dynamic", {"phi": 0.9}), False),
+    (RoutingStrategy("beam", {"tau": 0.7}), False),
+    (RoutingStrategy("soft_mask"), True),
+]
+SLOT_SET_IDS = [f"{s.kind}-{s.params}-binarize_soft={b}" for s, b in SLOT_SET_CASES]
+
+
+class TestSlotSet:
+    """The executed (token, expert) pairs agree with the nonzero weights."""
+
+    @pytest.mark.parametrize("strategy, binarize_soft", SLOT_SET_CASES, ids=SLOT_SET_IDS)
+    def test_inference_kept_slots_are_the_nonzero_weights(self, strategy, binarize_soft):
+        model = drawn_model(strategy, seed=2)
+        ids = np.random.default_rng(9).integers(0, 12, (3, 16))
+        _, routes = model.forward(ids, training=False, binarize_soft=binarize_soft)
+        n = model.cfg.num_experts
+        for rr in routes:
+            kept = _slot_matrix(rr.kept_ids, n)
+            assert np.array_equal(kept, rr.weights_hat.data != 0.0)
+            assert np.array_equal(kept.sum(axis=-1), rr.active_counts)
+
+    @pytest.mark.parametrize("strategy, binarize_soft", SLOT_SET_CASES, ids=SLOT_SET_IDS)
+    def test_training_executes_every_nonzero_weight(self, strategy, binarize_soft, monkeypatch):
+        from beamoe import baselines
+
+        executed = []
+        real_forward = baselines.moe_block_forward
+
+        def spy(h, weights_hat, experts, *args, compute_ids=None, **kw):
+            nonzero = weights_hat.data != 0.0
+            run = nonzero if compute_ids is None else _slot_matrix(compute_ids, len(experts))
+            executed.append((nonzero, run))
+            return real_forward(h, weights_hat, experts, *args, compute_ids=compute_ids, **kw)
+
+        monkeypatch.setattr(baselines, "moe_block_forward", spy)
+        model = drawn_model(strategy, seed=2)
+        ids = np.random.default_rng(9).integers(0, 12, (3, 16))
+        _, routes = model.forward(ids, training=True, binarize_soft=binarize_soft)
+        assert len(executed) == len(routes)
+        for rr, (nonzero, run) in zip(routes, executed):
+            assert not np.any(nonzero & ~run)
+            if strategy.needs_mask_router:
+                # the straight-through estimator needs closed slots' outputs too
+                assert np.array_equal(run, _slot_matrix(rr.candidate_ids, model.cfg.num_experts))
+            else:
+                assert np.array_equal(run, _slot_matrix(rr.kept_ids, model.cfg.num_experts))
+
+
 class TestGreedyDecode:
     @pytest.mark.parametrize(
         "strategy",

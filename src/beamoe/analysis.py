@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -16,6 +18,13 @@ TRACE_HEADER = ["sequence_id", "position", "layer", "rank", "expert_id", "mask_b
 _INT_COLUMNS = [name for name in TRACE_HEADER if name != "phase"]
 _BITS = frozenset((0, 1))
 GROUP_KEYS = ("overall", "layer", "token_position", "phase", "token_id", "token_layer")
+
+# rows formatted or parsed per numpy pass in the CSV round trip: bounds the
+# temporaries, which at a whole 131k-row trace raised peak RSS by ~70 MB
+_CSV_CHUNK_ROWS = 16384
+_HEADER_LINE = ",".join(TRACE_HEADER).encode()
+_NEWLINE, _CR, _COMMA, _MINUS, _ZERO = b"\n\r,-0"
+_PLACES = 19  # decimal places of int64's largest magnitude, 2**63
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -142,46 +151,151 @@ class SparsityTrace:
         return int(self.rank.max()) if self._rows else 0
 
     def to_csv(self, path) -> None:
+        """Write the header and one CRLF-ended line per row: the bytes
+        ``csv.writer`` writes. Each column's distinct values are formatted
+        once, and rows are joined ``_CSV_CHUNK_ROWS`` at a time."""
         columns = self._consolidated()
+        texts, codes = [], []
+        for name in TRACE_HEADER:
+            # each field's text carries the separator that follows it
+            end = "\r\n" if name == TRACE_HEADER[-1] else ","
+            values, inverse = np.unique(columns[name], return_inverse=True)
+            texts.append(np.array([f"{v}{end}" for v in values.tolist()], dtype=object))
+            codes.append(inverse)
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(TRACE_HEADER)
-            w.writerows(zip(*(columns[name].tolist() for name in TRACE_HEADER)))
+            f.write(",".join(TRACE_HEADER) + "\r\n")
+            for lo in range(0, self._rows, _CSV_CHUNK_ROWS):
+                rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+                fields = np.column_stack([text[code[rows]] for text, code in zip(texts, codes)])
+                f.write("".join(fields.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "SparsityTrace":
-        numbers: list[int] = []  # row after row, every column but phase
-        phases: list[str] = []
-        extend, append = numbers.extend, phases.append
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != TRACE_HEADER:
-                raise ContractError(f"unexpected trace header in {path}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    seq, pos, layer, rank, expert, bit, phase, token = row
-                    values = (
-                        int(seq), int(pos), int(layer), int(rank), int(expert), int(bit), int(token)
-                    )
-                except ValueError:  # a wrong field count or a non-integer field
-                    raise ContractError(f"malformed trace row {lineno} in {path}")
-                if phase not in PHASES:
-                    raise ContractError(f"malformed trace row {lineno} in {path}")
-                if values[5] not in (0, 1):
-                    raise ContractError(
-                        f"mask_bit {values[5]} is not 0 or 1 in trace row {lineno} in {path}"
-                    )
-                extend(values)
-                append(phase)
+        """Read a trace that ``to_csv`` wrote.
+
+        The accepted grammar, checked on every row:
+
+        - lines end in ``\n`` or ``\r\n``; the last line may have no end;
+        - line 1 is the header, ``TRACE_HEADER`` joined by commas;
+        - every later line is eight comma-separated fields in header order:
+          ``phase`` is one of ``PHASES`` and every other field is an integer
+          ``-?[0-9]+`` within int64, ``mask_bit`` being 0 or 1.
+
+        Nothing else is read: no quoted fields, no spaces, no ``+`` or ``_``
+        in a number, no non-ASCII digits, no lone ``\r`` line ends, no blank
+        lines. A ``ContractError`` names the first bad line by its number in
+        the file. Rows are parsed ``_CSV_CHUNK_ROWS`` at a time.
+        """
+        with open(path, "rb") as f:
+            data = f.read()
+        if not data.endswith(b"\n"):
+            data += b"\n"  # every line, the last included, now ends at a newline
+        buf = np.frombuffer(data, dtype=np.uint8)
+        newlines = np.flatnonzero(buf == _NEWLINE)
+        header = data[: newlines[0]]
+        if header.removesuffix(b"\r") != _HEADER_LINE:
+            raise ContractError(f"unexpected trace header in {path}")
+        starts, ends = newlines[:-1] + 1, newlines[1:]
+        ends = ends - (buf[ends - 1] == _CR)  # an empty line's ends - 1 is the newline before it
         trace = cls()
-        if phases:
-            table = np.fromiter(numbers, dtype=np.int64, count=len(numbers))
-            columns = dict(zip(_INT_COLUMNS, table.reshape(-1, len(_INT_COLUMNS)).T.copy()))
-            columns["phase"] = np.asarray(phases)
-            trace._columns = {name: _frozen(columns[name]) for name in TRACE_HEADER}
-            trace._rows = len(phases)
+        rows = len(starts)
+        if rows == 0:
+            return trace
+        table = np.empty((len(_INT_COLUMNS), rows), dtype=np.int64)
+        prefill = np.empty(rows, dtype=bool)
+        for lo in range(0, rows, _CSV_CHUNK_ROWS):
+            hi = min(lo + _CSV_CHUNK_ROWS, rows)
+            fault = _parse_rows(buf, starts[lo:hi], ends[lo:hi], table[:, lo:hi], prefill[lo:hi])
+            if fault is not None:
+                row, bit = fault
+                lineno = lo + row + 2
+                if bit is None:
+                    raise ContractError(f"malformed trace row {lineno} in {path}")
+                raise ContractError(f"mask_bit {bit} is not 0 or 1 in trace row {lineno} in {path}")
+        columns = dict(zip(_INT_COLUMNS, table))
+        # the dtype np.asarray gives the phase strings: as wide as the widest present
+        present = [name for name, seen in zip(PHASES, (prefill.any(), not prefill.all())) if seen]
+        columns["phase"] = np.where(prefill, *PHASES).astype(np.asarray(present).dtype)
+        trace._columns = {name: _frozen(columns[name]) for name in TRACE_HEADER}
+        trace._rows = rows
         return trace
+
+
+def _parse_rows(buf, starts, ends, table, prefill):
+    """Parse the rows ``buf[starts[i]:ends[i]]`` into ``table`` (one int64
+    row per ``_INT_COLUMNS`` entry) and ``prefill`` (phase is ``PHASES[0]``).
+
+    Returns None if every row is good, else ``(i, bit)`` for the first bad
+    row i: bit is None for a malformed row, or the ``mask_bit`` value that
+    is not 0 or 1. Rows before i are filled in.
+    """
+    commas = np.flatnonzero(buf[starts[0] : ends[-1]] == _COMMA) + starts[0]
+    per_row = len(TRACE_HEADER) - 1
+    counts = np.searchsorted(commas, ends) - np.searchsorted(commas, starts)
+    wrong_count = np.flatnonzero(counts != per_row)
+    n = int(wrong_count[0]) if wrong_count.size else len(starts)  # rows with eight fields
+    inner = commas[: n * per_row].reshape(n, per_row)
+    field_starts = np.column_stack([starts[:n], inner + 1])
+    field_ends = np.column_stack([inner, ends[:n]])
+
+    ok = np.ones(n, dtype=bool)
+    for row, name in zip(table, _INT_COLUMNS):
+        j = TRACE_HEADER.index(name)
+        row[:n], ok_j = _int_fields(buf, field_starts[:, j], field_ends[:, j])
+        ok &= ok_j
+    j = TRACE_HEADER.index("phase")
+    is_phase = [_fields_equal(buf, field_starts[:, j], field_ends[:, j], name) for name in PHASES]
+    ok &= np.logical_or.reduce(is_phase)
+    prefill[:n] = is_phase[0]
+    bits = table[_INT_COLUMNS.index("mask_bit"), :n]
+
+    bad = np.flatnonzero(~ok | ((bits != 0) & (bits != 1)))
+    if bad.size:
+        row = int(bad[0])
+        return row, None if not ok[row] else int(bits[row])
+    if n < len(starts):
+        return n, None
+    return None
+
+
+def _int_fields(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """The fields ``buf[starts[i]:ends[i]]`` as int64, and whether each is
+    ``-?[0-9]+`` within int64.
+
+    Digits are read right-aligned, one decimal place per pass, into uint64
+    magnitudes over the last 19 places (below 10**19 < 2**64); a field with
+    more digits must have zeros in all places above those.
+    """
+    negative = buf[starts] == _MINUS  # an empty field's start is its separator
+    digits_from = starts + negative
+    digit_count = ends - digits_from
+    ok = digit_count > 0
+    magnitude = np.zeros(len(starts), dtype=np.uint64)
+    # ends - place stays inside the file: every field follows the header line
+    for place in range(min(int(digit_count.max(initial=0)), _PLACES), 0, -1):
+        at = ends - place
+        inside = at >= digits_from
+        digit = buf[at] - _ZERO  # uint8: a byte below '0' wraps above 9
+        ok &= (digit < 10) | ~inside
+        magnitude *= 10
+        magnitude += np.where(inside, digit, 0)
+    overlong = np.flatnonzero(digit_count > _PLACES)
+    if overlong.size:
+        lo, hi = digits_from[overlong], ends[overlong] - _PLACES
+        nonzero = np.concatenate(([0], np.cumsum(buf[lo.min() : hi.max()] != _ZERO)))
+        ok[overlong] &= nonzero[hi - lo.min()] == nonzero[lo - lo.min()]
+    ok &= magnitude <= np.uint64(2**63 - 1) + negative  # -2**63 has no positive twin
+    values = magnitude.view(np.int64)
+    np.negative(values, out=values, where=negative)
+    return values, ok
+
+
+def _fields_equal(buf, starts, ends, word: str) -> np.ndarray:
+    """Whether each field ``buf[starts[i]:ends[i]]`` is the ASCII ``word``."""
+    match = ends - starts == len(word)
+    for offset, byte in enumerate(word.encode()):
+        match &= buf[np.minimum(starts + offset, len(buf) - 1)] == byte
+    return match
 
 
 def _require_nonempty(trace: SparsityTrace) -> dict[str, np.ndarray]:
@@ -354,8 +468,12 @@ REPORT_HEADER = ["metric", "group", "value"]
 
 def _group_label(key) -> str:
     if isinstance(key, tuple):
-        return "/".join(str(k) for k in key)
+        return "/".join(map(str, key))
     return str(key)
+
+
+def _value_text(value) -> str:
+    return "" if value is None else repr(float(value))
 
 
 def emit_report(metrics: dict[str, dict], fmt: str, path) -> None:
@@ -370,9 +488,9 @@ def emit_report(metrics: dict[str, dict], fmt: str, path) -> None:
             w.writerow(REPORT_HEADER)
             for metric in sorted(metrics):
                 groups = metrics[metric]
-                for key in sorted(groups, key=_group_label):
-                    value = groups[key]
-                    w.writerow([metric, _group_label(key), "" if value is None else repr(float(value))])
+                # one label per group, sorted stably by label
+                rows = zip(repeat(metric), map(_group_label, groups), map(_value_text, groups.values()))
+                w.writerows(sorted(rows, key=itemgetter(1)))
     elif fmt == "json":
         payload = {
             metric: {

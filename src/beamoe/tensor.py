@@ -396,11 +396,21 @@ def mask_fill(x: Tensor, keep: np.ndarray, fill_value: float) -> Tensor:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # Overflow-free in both tails: z = exp(-|x|) <= 1, and
-    # sigmoid(-|x|) = z / (1 + z) = 1 - 1 / (1 + z).
-    z = np.exp(-np.abs(x))
-    t = 1.0 / (1.0 + z)
-    return np.where(x >= 0, t, 1.0 - t)
+    # Overflow-free in both tails: t = 1 / (1 + exp(-|x|)) = sigmoid(|x|),
+    # and sigmoid(x) = 0.5 + copysign(t - 0.5, x). With t in [0.5, 1] both
+    # steps are exact, so this equals where(x >= 0, t, 1 - t) bit for bit,
+    # without the branch; all of it runs in one buffer.
+    x = np.asarray(x)
+    t = np.empty(x.shape, dtype=np.result_type(x, 1.0))
+    np.abs(x, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    np.divide(1.0, t, out=t)
+    t -= 0.5
+    np.copysign(t, x, out=t)
+    t += 0.5
+    return t
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -6,6 +6,11 @@
 - A list-based sparsity trace, its per-cell recording loop and its
   ``np.unique`` cell index: the columnar ``SparsityTrace`` and ``avg_k``
   are checked against them.
+- ``reference_from_csv``, the ``csv.reader`` loop that parsed trace files
+  one row at a time: the column-at-a-time ``SparsityTrace.from_csv`` is
+  checked against it on mutated files.
+- ``reference_sigmoid_np``, the branching sigmoid: the branch-free
+  ``sigmoid_np`` must equal it bit for bit.
 - Greedy decoding that runs the whole window on every token: the
   last-position decode of ``sample_greedy`` is checked against it.
 - The version-1 checkpoint writer (no vocabulary): the loader must keep
@@ -25,7 +30,7 @@ import zlib
 
 import numpy as np
 
-from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER
+from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER, SparsityTrace
 from beamoe.baselines import RoutingStrategy, block_forward
 from beamoe.beam import MaskDecision, mask_forward
 from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route
@@ -137,6 +142,45 @@ class ListSparsityTrace:
                         self.token_id[i],
                     ]
                 )
+
+
+def reference_from_csv(path) -> SparsityTrace:
+    """Read a trace CSV with ``csv.reader`` and ``int()``, one row at a time."""
+    numbers: list[int] = []  # row after row, every column but phase
+    phases: list[str] = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != TRACE_HEADER:
+            raise ContractError(f"unexpected trace header in {path}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                seq, pos, layer, rank, expert, bit, phase, token = row
+                values = (int(seq), int(pos), int(layer), int(rank), int(expert), int(bit), int(token))
+            except ValueError:  # a wrong field count or a non-integer field
+                raise ContractError(f"malformed trace row {lineno} in {path}")
+            if phase not in PHASES:
+                raise ContractError(f"malformed trace row {lineno} in {path}")
+            if values[5] not in (0, 1):
+                raise ContractError(f"mask_bit {values[5]} is not 0 or 1 in trace row {lineno} in {path}")
+            numbers.extend(values)
+            phases.append(phase)
+    trace = SparsityTrace()
+    if phases:
+        names = [name for name in TRACE_HEADER if name != "phase"]
+        table = np.fromiter(numbers, dtype=np.int64, count=len(numbers))
+        columns = dict(zip(names, table.reshape(-1, len(names)).T.copy()))
+        columns["phase"] = np.asarray(phases)
+        trace._columns = {name: columns[name] for name in TRACE_HEADER}
+        trace._rows = len(phases)
+    return trace
+
+
+def reference_sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic function with a branch on the sign of x."""
+    z = np.exp(-np.abs(x))
+    t = 1.0 / (1.0 + z)
+    return np.where(x >= 0, t, 1.0 - t)
 
 
 def record_routes_per_cell(trace, routes, ids, seq_base, phase, pairs):

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from beamoe import trainer
+from beamoe import analysis, trainer
 from beamoe.analysis import (
     GROUP_KEYS,
     TRACE_HEADER,
@@ -21,7 +22,13 @@ from beamoe.analysis import (
 from beamoe.baselines import RoutingStrategy
 from beamoe.tensor import ContractError
 
-from reference_ops import ListSparsityTrace, record_routes_per_cell, reference_avg_k, unique_cell_index
+from reference_ops import (
+    ListSparsityTrace,
+    record_routes_per_cell,
+    reference_avg_k,
+    reference_from_csv,
+    unique_cell_index,
+)
 
 
 def synthetic_trace(rng, n_cells=60, k=4, n_experts=8, n_layers=3, mask_prob=0.35):
@@ -336,6 +343,173 @@ def assert_same_columns(got: dict, want: dict):
     for name in TRACE_HEADER:
         assert got[name].dtype == want[name].dtype, name
         assert np.array_equal(got[name], want[name]), name
+
+
+HEADER_LINE = ",".join(TRACE_HEADER)
+# negative and multi-digit numbers and both phases, so that single-character
+# edits reach signs, digit runs, separators and phase names
+VALID_ROWS = [
+    "0,0,0,1,2,1,prefill,5",
+    "0,0,0,2,-1,0,prefill,5",
+    "3,10,1,1,7,1,decode,42",
+    "3,10,1,2,0,0,decode,42",
+]
+EDIT_ALPHABET = '09-,\n\rx "+_'
+
+
+def parse_outcome(parse, path):
+    """("ok", columns), ("error", ContractError message) or ("crash", type)."""
+    try:
+        return "ok", parse(path).arrays()
+    except ContractError as e:
+        return "error", str(e)
+    except Exception as e:  # the csv.reader loop can fail outside the contract
+        return "crash", type(e).__name__
+
+
+def single_edits(text: str):
+    """Every single-character insert, delete and replace over EDIT_ALPHABET,
+    with the position of the edit."""
+    for i in range(len(text) + 1):
+        for c in EDIT_ALPHABET:
+            yield i, text[:i] + c + text[i:]
+        if i < len(text):
+            yield i, text[:i] + text[i + 1 :]
+            for c in EDIT_ALPHABET:
+                if c != text[i]:
+                    yield i, text[:i] + c + text[i + 1 :]
+
+
+def narrowed(text: str) -> bool:
+    """Inputs the csv.reader loop read and the numpy parser rejects: spaces
+    around a number, "+" signs, "_" digit separators, quoted fields and lone
+    carriage-return line ends (non-ASCII digits are outside the alphabet)."""
+    return any(c in text for c in ' +_"') or re.search("\r(?!\n)", text) is not None
+
+
+def write_rows(path, rows, end="\r\n"):
+    path.write_bytes(end.join([HEADER_LINE, *rows, ""]).encode())
+
+
+class TestCsvParserAgainstReference:
+    """The column-at-a-time ``from_csv`` against the ``csv.reader`` loop it
+    replaced, on every single-character edit of a small valid file."""
+
+    @pytest.mark.parametrize("chunk_rows", [analysis._CSV_CHUNK_ROWS, 3])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_single_edits_agree(self, tmp_path, monkeypatch, end, chunk_rows):
+        monkeypatch.setattr(analysis, "_CSV_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "edited.csv"
+        valid = end.join([HEADER_LINE, *VALID_ROWS, ""])
+        outcomes = {"same": 0, "narrowed": 0}
+        for at, text in single_edits(valid):
+            path.write_bytes(text.encode())
+            got, want = parse_outcome(SparsityTrace.from_csv, path), parse_outcome(reference_from_csv, path)
+            if got[0] == want[0] == "ok":
+                assert_same_columns(got[1], want[1])
+                outcomes["same"] += 1
+            elif got == want:
+                outcomes["same"] += 1
+            else:
+                assert narrowed(text), repr(text)
+                line = text[:at].count("\n") + 1
+                if line == 1:
+                    assert got == ("error", f"unexpected trace header in {path}"), repr(text)
+                else:
+                    assert got == ("error", f"malformed trace row {line} in {path}"), repr(text)
+                outcomes["narrowed"] += 1
+        assert outcomes["same"] > 3000 and outcomes["narrowed"] > 100
+
+    @pytest.mark.parametrize(
+        "field",
+        [" 0", "0 ", "+0", "1_0", '"0"', "\u0663"],
+        ids=["space-before", "space-after", "plus", "underscore", "quoted", "arabic-indic-digit"],
+    )
+    def test_narrowed_inputs_rejected_with_row(self, tmp_path, field):
+        path = tmp_path / "t.csv"
+        write_rows(path, [VALID_ROWS[0], f"0,0,{field},1,2,1,prefill,5"])
+        assert parse_outcome(reference_from_csv, path)[0] == "ok"  # what the csv.reader loop read
+        with pytest.raises(ContractError, match="malformed trace row 3 in"):
+            SparsityTrace.from_csv(path)
+
+    def test_lone_carriage_return_rejected_with_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{HEADER_LINE}\n{VALID_ROWS[0]}\r{VALID_ROWS[1]}\n".encode())
+        assert len(reference_from_csv(path)) == 2
+        with pytest.raises(ContractError, match="malformed trace row 2 in"):
+            SparsityTrace.from_csv(path)
+
+    def test_int64_range(self, tmp_path):
+        big, small = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        trace = SparsityTrace()
+        ids, bits = [[big, -1], [small, 0]], [[1, 0], [0, 1]]
+        trace.record_cell([big, small], [small, big], 0, ids, bits, "decode", [big, small])
+        path = tmp_path / "t.csv"
+        trace.to_csv(path)
+        assert_same_columns(SparsityTrace.from_csv(path).arrays(), trace.arrays())
+        assert_same_columns(SparsityTrace.from_csv(path).arrays(), reference_from_csv(path).arrays())
+        # leading zeros beyond 19 digits are still in range
+        write_rows(path, [f"{'0' * 30}7,-{'0' * 25}{big},0,1,2,1,prefill,5"])
+        back = SparsityTrace.from_csv(path)
+        assert (back.sequence_id[0], back.position[0]) == (7, -big)
+
+    @pytest.mark.parametrize(
+        "number",
+        [str(2**63), str(-(2**63) - 1), "1" + "0" * 19, "9" * 25, "1" + "0" * 30 + "5"],
+        ids=["max-plus-1", "min-minus-1", "ten-to-19", "25-nines", "long-nonzero-head"],
+    )
+    def test_outside_int64_rejected_with_row(self, tmp_path, number):
+        path = tmp_path / "t.csv"
+        write_rows(path, [VALID_ROWS[0], VALID_ROWS[1], f"{number},0,0,1,2,1,prefill,5"])
+        with pytest.raises(ContractError, match="malformed trace row 4 in"):
+            SparsityTrace.from_csv(path)
+
+    def test_phase_dtype_follows_present_phases(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for rows in (VALID_ROWS, VALID_ROWS[2:], VALID_ROWS[:2], []):
+            write_rows(path, rows)
+            assert_same_columns(SparsityTrace.from_csv(path).arrays(), reference_from_csv(path).arrays())
+        assert SparsityTrace.from_csv(path).phase.dtype == np.dtype("<U1")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""], ids=["lf", "crlf", "none"])
+    def test_last_line_end_optional(self, tmp_path, end):
+        path = tmp_path / "t.csv"
+        path.write_bytes(("\r\n".join([HEADER_LINE, *VALID_ROWS]) + end).encode())
+        assert_same_columns(SparsityTrace.from_csv(path).arrays(), reference_from_csv(path).arrays())
+
+    def test_bad_rows_across_chunk_boundary(self, tmp_path):
+        chunk = analysis._CSV_CHUNK_ROWS
+        rng = np.random.default_rng(3)
+        n_cells, k = chunk // 4 + 5, 4  # rows spill into a second chunk
+        trace = SparsityTrace()
+        trace.record_cell(
+            np.arange(n_cells) // 64, np.arange(n_cells) % 64, 1, rng.integers(-1, 8, (n_cells, k)),
+            rng.integers(0, 2, (n_cells, k)), "prefill", rng.integers(0, 100, n_cells),
+        )
+        path = tmp_path / "t.csv"
+        trace.to_csv(path)
+        reference = ListSparsityTrace()
+        arr = trace.arrays()
+        for i in range(0, len(trace), k):
+            reference.record_cell(
+                arr["sequence_id"][i], arr["position"][i], 1, arr["expert_id"][i : i + k],
+                arr["mask_bit"][i : i + k], "prefill", arr["token_id"][i],
+            )
+        reference.to_csv(tmp_path / "ref.csv")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_same_columns(SparsityTrace.from_csv(path).arrays(), reference_from_csv(path).arrays())
+
+        lines = path.read_bytes().decode().split("\r\n")
+        # row i of the body is line i + 2; chunk rows 0 .. chunk-1 are lines 2 .. chunk+1
+        for lineno in (chunk + 1, chunk + 2, chunk + 9):
+            for bad, message in [
+                ("0,0,oops,1,2,1,prefill,5", "malformed"),
+                ("0,0,0,1,2,7,prefill,5", "mask_bit 7"),
+            ]:
+                edited = lines[: lineno - 1] + [bad] + lines[lineno:]
+                (tmp_path / "bad.csv").write_bytes("\r\n".join(edited).encode())
+                with pytest.raises(ContractError, match=f"^{message}.* row {lineno} in"):
+                    SparsityTrace.from_csv(tmp_path / "bad.csv")
 
 
 class TestRecordValidation:

@@ -20,6 +20,7 @@ from beamoe.tensor import (
     reshape,
     rms_norm,
     sigmoid,
+    sigmoid_np,
     silu,
     slice_cols,
     softmax,
@@ -29,7 +30,7 @@ from beamoe.tensor import (
     untaped,
 )
 
-from reference_ops import gather_rc, scatter_rows
+from reference_ops import gather_rc, reference_sigmoid_np, scatter_rows
 
 
 def backward(expr_fn, *tensors):
@@ -147,6 +148,25 @@ class TestSigmoid:
     def test_extreme_negative_no_overflow(self):
         out = sigmoid(Tensor([-1e4, 1e4]))
         assert out.data[0] == 0.0 and out.data[1] == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-20, 1e-8, 0.1, 1.0, 5.0, 40.0, 800.0, 1e300])
+    def test_branch_free_equals_branching_reference(self, scale):
+        x = np.random.default_rng(7).standard_normal((64, 33)) * scale
+        got, want = sigmoid_np(x), reference_sigmoid_np(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_branch_free_equals_reference_at_edges(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array(
+            [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, tiny, -tiny, 2.5e-308, -2.5e-308, 36.7, -37.0]
+        )
+        for values in (x, x.astype(np.float32), x.reshape(3, 4), np.array(-2.0)):
+            got, want = sigmoid_np(values), reference_sigmoid_np(values)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCrossEntropy:

@@ -507,12 +507,25 @@ def emit_report(metrics: dict[str, dict], fmt: str, path) -> None:
 
 
 def parse_report(path) -> dict[str, dict[str, float | None]]:
+    """Read a CSV report into {metric: {group: value}}; an empty value is None.
+
+    A row that is not three fields, or whose value is not a number, raises
+    ``ContractError`` naming its line (the header is line 1).
+    """
     out: dict[str, dict] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header != REPORT_HEADER:
+        if next(reader, None) != REPORT_HEADER:
             raise ContractError("unexpected report header")
-        for metric, group, value in reader:
-            out.setdefault(metric, {})[group] = None if value == "" else float(value)
+        for row in reader:
+            if len(row) != 3:
+                raise ContractError(f"malformed report row {reader.line_num} in {path}")
+            metric, group, value = row
+            try:
+                number = None if value == "" else float(value)
+            except ValueError:
+                raise ContractError(
+                    f"value {value!r} is not a number in report row {reader.line_num} in {path}"
+                ) from None
+            out.setdefault(metric, {})[group] = number
     return out

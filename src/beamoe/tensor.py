@@ -1,10 +1,11 @@
 """Dense float64 arrays with tape-based reverse-mode differentiation.
 
 Just enough machinery for a small mixture-of-experts stack: matmul, masked
-softmax, sigmoid/silu, row gather, rms-norm, cross-entropy, plus a
-straight-through binarizer. Forward values live in numpy; every op records a
-backward rule on the active tape. With no tape active the same functions run
-forward-only, which is how inference reuses the exact training arithmetic.
+softmax, causal attention, sigmoid/silu, row gather, rms-norm,
+cross-entropy, plus a straight-through binarizer. Forward values live in
+numpy; every op records a backward rule on the active tape. With no tape
+active the same functions run forward-only, which is how inference reuses
+the exact training arithmetic.
 
 Gradients are additive: ``Tape.backward`` accumulates into ``Tensor.grad``
 and never clears it, so running backward twice doubles the gradient. Callers
@@ -447,10 +448,12 @@ def softmax_np(x: np.ndarray, masked_value: float | None = None) -> np.ndarray:
     masked = x == masked_value
     if masked.all(axis=-1).any():
         raise ContractError("softmax row with every entry masked")
-    finite_max = np.where(masked, -np.inf, x).max(axis=-1, keepdims=True)
-    e = np.exp(x - finite_max)
-    e[masked] = 0.0  # exact zero by comparison, not by exp underflow
-    return e / e.sum(axis=-1, keepdims=True)
+    # masked entries become -inf, and exp(-inf) is exactly 0
+    z = np.where(masked, -np.inf, x)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def softmax(x: Tensor, masked_value: float | None = None) -> Tensor:
@@ -463,6 +466,76 @@ def softmax(x: Tensor, masked_value: float | None = None) -> Tensor:
     def rule(g, flow):
         dot = (g * y).sum(axis=-1, keepdims=True)
         _send(flow, x, y * (g - dot), owned=True)
+
+    _record(out, rule)
+    return out
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention as one tape node.
+
+    ``q`` is (B, Tq, D), the queries of the last Tq of T positions; ``k`` and
+    ``v`` are (B, T, D). Each of the ``n_heads`` heads takes hd = D / n_heads
+    consecutive columns, and query i (position T - Tq + i) attends to keys
+    0..T - Tq + i with weights softmax(q_h k_h^T / sqrt(hd)). The result is
+    (B, Tq, D), the heads merged back in column order.
+
+    The row max is taken over the keys a query sees, and the weights of the
+    other keys are set to exactly 0. No row is fully masked, because a query
+    always sees its own key; the softmax therefore needs no all-masked check.
+
+    The output equals that of the per-op chain (head split, scores, scale,
+    mask, softmax, value product, merge) bit for bit. The backward is closed
+    form and repeats the chain's arithmetic in the same order, so the
+    gradients equal the chain's bit for bit too.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or v.shape != k.shape:
+        raise ShapeError(f"need 3-d q and k, v of one shape: {q.shape}, {k.shape}, {v.shape}")
+    b, tq, d = q.shape
+    t = k.shape[1]
+    if k.shape[0] != b or k.shape[2] != d:
+        raise ShapeError(f"q {q.shape} and k {k.shape} disagree in batch or width")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"width {d} is not divisible by n_heads {n_heads}")
+    if tq > t:
+        raise ShapeError(f"{tq} queries for {t} keys")
+    hd = d // n_heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def split(z, n):
+        return z.reshape(b, n, n_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(z, n):
+        return z.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    q_h, k_h, v_h = split(q.data, tq), split(k.data, t), split(v.data, t)
+    seen = np.tri(t, dtype=bool)[t - tq :]
+    future = ~seen
+    y = np.matmul(q_h, k_h.swapaxes(-1, -2))
+    y *= scale
+    y -= y.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
+    # exp of a future score may overflow; it is zeroed next. Keeping -inf
+    # out of exp's input keeps exp on its fast path (a third of the time).
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    np.copyto(y, 0.0, where=future)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = Tensor._raw(
+        merge(np.matmul(y, v_h), tq), q.requires_grad or k.requires_grad or v.requires_grad
+    )
+
+    def rule(g, flow):
+        g_h = split(g, tq)
+        gs = np.matmul(g_h, v_h.swapaxes(-1, -2))
+        gv = np.matmul(y.swapaxes(-1, -2), g_h)
+        gs -= (gs * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        np.copyto(gs, 0.0, where=future)
+        gs *= scale
+        _send(flow, q, merge(np.matmul(gs, k_h), tq), owned=True)
+        _send(flow, k, merge(np.matmul(q_h.swapaxes(-1, -2), gs).swapaxes(-1, -2), t), owned=True)
+        _send(flow, v, merge(gv, t), owned=True)
 
     _record(out, rule)
     return out

@@ -20,21 +20,18 @@ from .baselines import RouteResult, RoutingStrategy, build_block, block_forward
 from .beam import sparsity_loss
 from .moe import MoEBlockConfig, balance_loss_from
 from .tensor import (
-    NEG_SENTINEL,
     ContractError,
     NumericError,
     Tape,
     Tensor,
     add,
+    causal_attention,
     cross_entropy,
-    mask_fill,
     matmul,
     mul,
     reshape,
     rms_norm,
-    softmax,
     take_rows,
-    transpose,
 )
 
 
@@ -208,26 +205,11 @@ class TinyMoELM:
         """Causal self-attention output, (B, T, D); with ``last_query_only``,
         (B, 1, D) for the last position only (keys and values still cover
         every position)."""
-        cfg = self.cfg
-        b, t, d = x.shape
-        hd = d // cfg.n_heads
         xn = rms_norm(x, layer["attn_norm"])
         q = matmul(_last_position(xn) if last_query_only else xn, layer["wq"])
         k = matmul(xn, layer["wk"])
         v = matmul(xn, layer["wv"])
-        tq = q.shape[1]
-
-        def heads(z, n):
-            return transpose(reshape(z, (b, n, cfg.n_heads, hd)), (0, 2, 1, 3))
-
-        q, k, v = heads(q, tq), heads(k, t), heads(v, t)
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        causal = np.tril(np.ones((t, t), dtype=bool))[t - tq :]
-        weights = softmax(
-            mask_fill(scores, causal, NEG_SENTINEL), masked_value=NEG_SENTINEL
-        )
-        out = transpose(matmul(weights, v), (0, 2, 1, 3))
-        return matmul(reshape(out, (b, tq, d)), layer["wo"])
+        return matmul(causal_attention(q, k, v, self.cfg.n_heads), layer["wo"])
 
     def forward(
         self,

@@ -11,6 +11,11 @@
   checked against it on mutated files.
 - ``reference_sigmoid_np``, the branching sigmoid: the branch-free
   ``sigmoid_np`` must equal it bit for bit.
+- ``reference_softmax_np``, the masked softmax that zeroed masked entries
+  by a boolean scatter, and ``reference_causal_attention``, the per-op tape
+  chain (head split, scores, scale, ``mask_fill``, masked ``softmax``,
+  value product, merge): ``softmax_np`` and the fused ``causal_attention``
+  must equal them bit for bit, gradients included.
 - Greedy decoding that runs the whole window on every token: the
   last-position decode of ``sample_greedy`` is checked against it.
 - The version-1 checkpoint writer (no vocabulary): the loader must keep
@@ -35,15 +40,21 @@ from beamoe.baselines import RoutingStrategy, block_forward
 from beamoe.beam import MaskDecision, mask_forward
 from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route
 from beamoe.tensor import (
+    NEG_SENTINEL,
     ContractError,
     Tensor,
     _as_tensor,
     _record,
     _send,
     add,
+    mask_fill,
+    matmul,
     mul,
+    reshape,
     sigmoid_np,
     slice_cols,
+    softmax,
+    transpose,
 )
 from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
 
@@ -181,6 +192,35 @@ def reference_sigmoid_np(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
     t = 1.0 / (1.0 + z)
     return np.where(x >= 0, t, 1.0 - t)
+
+
+def reference_softmax_np(x: np.ndarray, masked_value: float) -> np.ndarray:
+    """Masked softmax that zeroes masked entries by a boolean scatter."""
+    masked = x == masked_value
+    if masked.all(axis=-1).any():
+        raise ContractError("softmax row with every entry masked")
+    finite_max = np.where(masked, -np.inf, x).max(axis=-1, keepdims=True)
+    e = np.exp(x - finite_max)
+    e[masked] = 0.0
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Causal multi-head attention as a chain of tape ops; q is (B, Tq, D)
+    for the last Tq positions, k and v are (B, T, D)."""
+    b, tq, d = q.shape
+    t = k.shape[1]
+    hd = d // n_heads
+
+    def heads(z, n):
+        return transpose(reshape(z, (b, n, n_heads, hd)), (0, 2, 1, 3))
+
+    q, k, v = heads(q, tq), heads(k, t), heads(v, t)
+    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    causal = np.tril(np.ones((t, t), dtype=bool))[t - tq :]
+    weights = softmax(mask_fill(scores, causal, NEG_SENTINEL), masked_value=NEG_SENTINEL)
+    out = transpose(matmul(weights, v), (0, 2, 1, 3))
+    return reshape(out, (b, tq, d))
 
 
 def record_routes_per_cell(trace, routes, ids, seq_base, phase, pairs):

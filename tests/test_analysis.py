@@ -289,6 +289,31 @@ class TestReports:
         for (s, p, l), v in heat.items():
             assert parsed[f"{s}/{p}/{l}"] == v
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("avg_k,overall", "malformed report row 3 in"),
+            ("avg_k,overall,2.5,1", "malformed report row 3 in"),
+            ("avg_k,overall,abc", "value 'abc' is not a number in report row 3 in"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"metric,group,value\nload,5,0.25\n{row}\n")
+        with pytest.raises(ContractError, match=re.escape(message)):
+            parse_report(path)
+
+    def test_empty_value_reads_as_none(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("metric,group,value\navg_k,0,\n")
+        assert parse_report(path) == {"avg_k": {"0": None}}
+
+    def test_empty_file_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        with pytest.raises(ContractError, match="unexpected report header"):
+            parse_report(path)
+
 
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from beamoe.tensor import (
     Tensor,
     add,
     binarize_ste,
+    causal_attention,
     check_gradient,
     cross_entropy,
     div,
@@ -24,13 +27,20 @@ from beamoe.tensor import (
     silu,
     slice_cols,
     softmax,
+    softmax_np,
     take_rows,
     transpose,
     tsum,
     untaped,
 )
 
-from reference_ops import gather_rc, reference_sigmoid_np, scatter_rows
+from reference_ops import (
+    gather_rc,
+    reference_causal_attention,
+    reference_sigmoid_np,
+    reference_softmax_np,
+    scatter_rows,
+)
 
 
 def backward(expr_fn, *tensors):
@@ -129,6 +139,121 @@ class TestSoftmax:
         x = Tensor([[2.0, 1.0, NEG_SENTINEL]], requires_grad=True)
         backward(lambda t: tsum(mul(softmax(t, masked_value=NEG_SENTINEL), [[1.0, 2.0, 3.0]])), x)
         assert x.grad[0, 2] == 0.0
+
+    def test_masked_path_equals_scatter_reference(self):
+        rng = np.random.default_rng(5)
+        # router-shaped: (T, N) logits with the top 4 of 8 kept per row
+        logits = rng.normal(size=(512, 8))
+        keep = np.argsort(-logits, axis=-1)[:, :4]
+        router = np.full_like(logits, NEG_SENTINEL)
+        np.put_along_axis(router, keep, np.take_along_axis(logits, keep, -1), -1)
+        # one live entry per row, at a random column
+        single = np.full((64, 8), NEG_SENTINEL)
+        single[np.arange(64), rng.integers(0, 8, 64)] = rng.normal(size=64)
+        # values near +-700 and 0, with masked entries mixed in
+        edges = np.array(
+            [
+                [700.0, -700.0, 0.0, NEG_SENTINEL],
+                [-709.0, -700.0, NEG_SENTINEL, -745.0],
+                [709.0, 708.9, 1e-300, -0.0],
+                [0.0, NEG_SENTINEL, NEG_SENTINEL, NEG_SENTINEL],
+                [-1e-300, 5e-324, NEG_SENTINEL, 0.0],
+            ]
+        )
+        for x in (router, single, edges, edges[None]):
+            got, want = softmax_np(x, NEG_SENTINEL), reference_softmax_np(x, NEG_SENTINEL)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.all(got[x == NEG_SENTINEL] == 0.0)
+
+    def test_masked_path_all_masked_row_rejected(self):
+        x = np.array([[1.0, NEG_SENTINEL], [NEG_SENTINEL, NEG_SENTINEL]])
+        with pytest.raises(ContractError, match="every entry masked"):
+            softmax_np(x, NEG_SENTINEL)
+
+
+def _attention_grads(op, q, k, v, n_heads, upstream):
+    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    with Tape() as tape:
+        out = op(*leaves, n_heads)
+        tape.backward(tsum(mul(out, upstream)))
+    return out.data, [t.grad for t in leaves]
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("t", [1, 7, 64])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("last_only", [False, True], ids=["tq=t", "tq=1"])
+    def test_equals_per_op_chain(self, n_heads, t, b, last_only):
+        rng = np.random.default_rng([b, t, n_heads])
+        tq, d = (1 if last_only else t), 8
+        q, k, v = rng.normal(size=(b, tq, d)), rng.normal(size=(b, t, d)), rng.normal(size=(b, t, d))
+        upstream = rng.normal(size=(b, tq, d))
+        out, grads = _attention_grads(causal_attention, q, k, v, n_heads, upstream)
+        want, want_grads = _attention_grads(reference_causal_attention, q, k, v, n_heads, upstream)
+        assert out.shape == (b, tq, d)
+        assert np.array_equal(out, want)
+        for name, got, ref in zip("qkv", grads, want_grads):
+            assert np.array_equal(got, ref), name
+
+    def test_finite_differences_with_fewer_queries_than_keys(self):
+        rng = np.random.default_rng(12)
+        q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        w = rng.normal(size=(2, 3, 4))
+        err = check_gradient(lambda: tsum(mul(causal_attention(q, k, v, 2), w)), [q, k, v])
+        assert err < 1e-6
+
+    def test_query_sees_no_later_key(self):
+        rng = np.random.default_rng(13)
+        q, k, v = (Tensor(rng.normal(size=(1, 6, 4))) for _ in range(3))
+        base = causal_attention(q, k, v, 2).data
+        k.data[0, 4:] += 3.0
+        v.data[0, 4:] -= 3.0
+        moved = causal_attention(q, k, v, 2).data
+        assert np.array_equal(moved[0, :4], base[0, :4])
+        assert not np.array_equal(moved[0, 4:], base[0, 4:])
+
+    def test_future_score_far_above_the_seen_ones(self):
+        # query 0's score against key 1 exceeds its own by ~1e4: exp of the
+        # shifted future score overflows, and the weight must still be 0
+        q = np.array([[[100.0], [1.0]]])
+        k = np.array([[[-1.0], [100.0]]])
+        v = np.array([[[2.0], [5.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, grads = _attention_grads(causal_attention, q, k, v, 1, np.ones((1, 2, 1)))
+        want, want_grads = _attention_grads(reference_causal_attention, q, k, v, 1, np.ones((1, 2, 1)))
+        assert out[0, 0, 0] == 2.0
+        assert np.array_equal(out, want)
+        for got, ref in zip(grads, want_grads):
+            assert np.array_equal(got, ref)
+
+    def test_forward_is_one_tape_node(self):
+        q, k, v = (Tensor(np.ones((1, 3, 4)), requires_grad=True) for _ in range(3))
+        with Tape() as tape:
+            out = causal_attention(q, k, v, 2)
+        assert [node for node, _ in tape.nodes] == [out]
+
+    @pytest.mark.parametrize(
+        "q_shape,k_shape,v_shape,n_heads",
+        [
+            ((1, 3, 6), (1, 3, 6), (1, 3, 6), 4),  # width not divisible by heads
+            ((1, 3, 4), (1, 3, 4), (1, 3, 4), 0),
+            ((1, 5, 4), (1, 4, 4), (1, 4, 4), 2),  # more queries than keys
+            ((1, 3, 4), (1, 3, 4), (1, 2, 4), 2),  # k and v disagree
+            ((1, 3, 4), (1, 3, 4), (2, 3, 4), 2),
+            ((2, 3, 4), (1, 3, 4), (1, 3, 4), 2),  # q and k disagree in batch
+            ((1, 3, 4), (1, 3, 8), (1, 3, 8), 2),  # ... or in width
+            ((3, 4), (3, 4), (3, 4), 2),
+        ],
+    )
+    def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, n_heads):
+        q, k, v = Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape))
+        with pytest.raises(ShapeError):
+            causal_attention(q, k, v, n_heads)
 
 
 class TestSigmoid:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamoe.baselines import RoutingStrategy
-from beamoe.tensor import ContractError, NumericError, Tensor
+from beamoe.tensor import ContractError, NumericError, Tape, Tensor
 from beamoe.trainer import (
     Adam,
     CheckpointError,
@@ -443,6 +443,17 @@ class TestLastPositionForward:
         model = drawn_model(RoutingStrategy("beam"))
         with pytest.raises(ContractError, match="last_position_only"):
             model.forward(np.zeros((1, 4), dtype=np.int64), training=True, last_position_only=True)
+
+
+class TestAttentionTape:
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_forward_node_count(self, n_layers):
+        # the per-op attention chain recorded 13 more per layer: 37 and 69
+        model = drawn_model(RoutingStrategy("beam"), n_layers)
+        ids = np.random.default_rng(2).integers(0, 12, (2, 8))
+        with Tape() as tape:
+            model.forward(ids, training=True)
+        assert len(tape.nodes) == {1: 24, 2: 43}[n_layers]
 
 
 def _slot_matrix(ids, num_experts):

@@ -28,11 +28,9 @@ from .moe import (
 from .tensor import (
     ContractError,
     Tensor,
-    binarize_ste,
     div,
     matmul,
     mul,
-    sigmoid,
     slice_cols,
     softmax,
     tsum,
@@ -173,12 +171,6 @@ def temperature_at(step: int, total_steps: int, floor: float = 0.1) -> float:
     return max(floor, float(floor ** (min(step, half) / half)))
 
 
-def _one_hot(ids: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((ids.shape[0], width), dtype=bool)
-    np.put_along_axis(out, ids, True, axis=-1)
-    return out
-
-
 def route(
     block: MoEBlock,
     x_norm: Tensor,
@@ -216,7 +208,6 @@ def route(
         k = p.get("k_infer", k)
     dec = topk_route(x_norm, block.router_w, k)  # ada_moe: over N + null columns
     ids = dec.topk_indices
-    balance_active = _one_hot(ids, block.router_w.shape[-1])
     weights_hat = dec.weights
     bits = np.ones(ids.shape, dtype=np.int64)
     raw_mask = None
@@ -226,30 +217,26 @@ def route(
         weights_hat = slice_cols(weights_hat, 0, n)
         ids = np.where(real, ids, np.int64(-1))
         bits = real.astype(np.int64)
-    elif kind == "beam":
-        maskdec = beam_mod.mask_forward(x_norm, block.mask_router)
-        weights_hat = mul(weights_hat, maskdec.mask)
-        bits = np.take_along_axis(maskdec.binary_mask, ids, axis=-1)
-        raw_mask = maskdec.raw_mask
-    elif kind in _MASKED_KINDS:  # soft variants
-        tau = block.mask_router.tau
+    elif kind in _MASKED_KINDS:
         temp = 1.0
         if kind == "soft_mask_tempered":
             floor = p.get("temp_floor", 0.1)
             temp = temperature_at(step, total_steps, floor) if training else floor
-        raw_mask = sigmoid(mul(matmul(x_norm, block.mask_router.weight), 1.0 / temp))
-        discretize = not training and (kind == "soft_mask_tempered" or binarize_soft)
-        weights_hat = mul(weights_hat, binarize_ste(raw_mask, tau) if discretize else raw_mask)
-        # undiscretized, the soft mask only rescales weights: at inference
-        # every candidate runs
-        if training or discretize:
-            hard = (raw_mask.data >= tau).astype(np.int64)
-            bits = np.take_along_axis(hard, ids, axis=-1)
+        maskdec = beam_mod.mask_forward(x_norm, block.mask_router, temp)
+        raw_mask = maskdec.raw_mask
+        hard = kind == "beam" or (
+            not training and (kind == "soft_mask_tempered" or binarize_soft)
+        )
+        weights_hat = mul(weights_hat, maskdec.mask if hard else raw_mask)
+        # a soft mask left soft at inference only rescales weights: every
+        # candidate runs
+        if training or hard:
+            bits = np.take_along_axis(maskdec.binary_mask, ids, axis=-1)
 
     return RouteResult(
         weights_hat=weights_hat,
         logits=dec.logits,
-        balance_active=balance_active,
+        balance_active=dec.keep,
         candidate_ids=ids,
         active_bits=bits,
         raw_mask=raw_mask,

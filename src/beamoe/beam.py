@@ -1,12 +1,14 @@
-"""Binary expert-activation masking.
+"""Binary expert-activation masking, the one mask stage of ``beam``,
+``soft_mask`` and ``soft_mask_tempered``.
 
 A second linear router scores every expert per token; a sigmoid squashes the
-scores into (0, 1) and an inclusive threshold tau (0.5 by default) turns them
-into a binary mask over the primary router's top-k candidates. Training keeps
-the mask in the graph through a straight-through binarizer and pressures it
-toward zero with an L1 term restricted to the candidate set; inference
-(``baselines.block_forward``) skips masked experts entirely via the dispatch
-module.
+scores (over a temperature, for ``soft_mask_tempered``) into (0, 1) and an
+inclusive threshold tau (0.5 by default) turns them into a binary mask over
+the primary router's top-k candidates; the soft kinds weight by the sigmoid
+itself unless ``baselines.route`` discretizes them. Training keeps the mask
+in the graph through a straight-through binarizer and pressures it toward
+zero with an L1 term restricted to the candidate set; inference
+(``baselines.block_forward``) skips masked experts via the dispatch module.
 """
 
 from __future__ import annotations
@@ -53,8 +55,12 @@ class MaskDecision:
         return self.mask.data.astype(np.int64)
 
 
-def mask_forward(x: Tensor, router: MaskRouter) -> MaskDecision:
+def mask_forward(x: Tensor, router: MaskRouter, temperature: float = 1.0) -> MaskDecision:
+    """Raw mask sigmoid(x W / temperature) and its straight-through binary
+    mask raw >= tau; at temperature 1.0 the bit-identical scaling is skipped."""
     a = matmul(x, router.weight)
+    if temperature != 1.0:
+        a = mul(a, 1.0 / temperature)
     raw = sigmoid(a)
     m = binarize_ste(raw, router.tau)
     return MaskDecision(pre_activation=a, raw_mask=raw, mask=m)

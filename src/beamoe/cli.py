@@ -157,22 +157,33 @@ def _write_resolved(resolved: dict, out: Path, vocab_size: int) -> None:
         f.write("\n")
 
 
-def cmd_train(args) -> int:
-    resolved = load_config(args.config)
+def _train_run(resolved: dict):
+    """Train one resolved config and write its config, checkpoint and trace:
+    ``(model, rows, corpus_ids, out)``. A diverged run writes its trace and
+    no checkpoint, prints the error and gives None."""
     corpus_ids, vocab, model_cfg, train_cfg = build_run(resolved)
     out = output_dir_for(resolved)
     _write_resolved(resolved, out, model_cfg.vocab_size)
+    trace_path = out / "training_trace.csv"
     try:
         model, rows = train(model_cfg, train_cfg, corpus_ids)
     except TrainingDiverged as e:
-        # the trainer rolled the model back to the last finite-loss state
-        write_trace(e.rows, out / "training_trace.csv")
-        print(f"error: {e}; last-good checkpoint kept", file=sys.stderr)
-        return 1
+        write_trace(e.rows, trace_path)
+        print(f"error: {e}; trace written to {trace_path}, no checkpoint saved", file=sys.stderr)
+        return None
     model.vocab = vocab
     save_checkpoint(model, out / "checkpoint.bin")
-    write_trace(rows, out / "training_trace.csv")
-    print(f"trained {train_cfg.steps} steps -> {out}")
+    write_trace(rows, trace_path)
+    return model, rows, corpus_ids, out
+
+
+def cmd_train(args) -> int:
+    resolved = load_config(args.config)
+    trained = _train_run(resolved)
+    if trained is None:
+        return 1
+    _, _, _, out = trained
+    print(f"trained {resolved['train']['steps']} steps -> {out}")
     return 0
 
 
@@ -294,13 +305,10 @@ def cmd_compare(args) -> int:
             run["model"]["seed"] = seed
             run["train"]["seed"] = seed
             run["output_dir"] = str(out / f"{label}_seed{seed}")
-            corpus_ids, vocab, model_cfg, train_cfg = build_run(run)
-            run_out = output_dir_for(run)
-            _write_resolved(run, run_out, model_cfg.vocab_size)
-            model, rows = train(model_cfg, train_cfg, corpus_ids)
-            model.vocab = vocab
-            save_checkpoint(model, run_out / "checkpoint.bin")
-            write_trace(rows, run_out / "training_trace.csv")
+            trained = _train_run(run)
+            if trained is None:
+                return 1
+            model, rows, corpus_ids, _ = trained
             result = evaluate(model, corpus_ids, max_windows=args.eval_windows)
             summary_rows.append(
                 {

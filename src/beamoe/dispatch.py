@@ -2,9 +2,9 @@
 and execute each expert once over its rows.
 
 The plan is compressed-row: per-expert counts and offsets into one flat
-token order and one flat slot order. Block alignment, which a device layout
-would pad each expert's run to, is arithmetic only (``padded_count``); no
-array is padded, because numpy has no tiles for padding to fill.
+token order. Block alignment, which a device layout would pad each expert's
+run to, is arithmetic only (``padded_count``); no array is padded, because
+numpy has no tiles for padding to fill.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ from .tensor import ContractError
 class DispatchPlan:
     """Expert-grouped slot layout in compressed-row form.
 
-    Expert e owns ``token_order[offsets[e]:offsets[e + 1]]`` and the same
-    range of ``slot_order``: its real (token, k-slot) pairs in ascending
-    (token, slot) order. ``padded_count(e)`` is the length a block-aligned
-    layout would give that run; no array carries the padding.
+    Expert e owns ``token_order[offsets[e]:offsets[e + 1]]``: the tokens of
+    its real slots, ascending. ``padded_count(e)`` is the length a
+    block-aligned layout would give that run; no array carries the padding.
     """
 
     block_size: int
     real_counts: np.ndarray
     offsets: np.ndarray
     token_order: np.ndarray
-    slot_order: np.ndarray
 
     @property
     def num_experts(self) -> int:
@@ -54,8 +52,8 @@ def align_block(
     """Group the unmasked slots of a (T, K) id array by expert.
 
     -1 marks a masked slot; any other id outside [0, num_experts) is
-    rejected. Within an expert, slots keep ascending (token, k-slot) order
-    so downstream accumulation order is deterministic.
+    rejected. Within an expert, tokens stay in ascending order so downstream
+    accumulation order is deterministic.
     """
     if block_size < 1:
         raise ContractError("block_size must be >= 1")
@@ -79,7 +77,6 @@ def align_block(
         real_counts=counts,
         offsets=offsets,
         token_order=picked // k,
-        slot_order=picked % k,
     )
 
 

@@ -116,12 +116,14 @@ class RouterDecision:
     """Primary-router output for one batch of tokens.
 
     ``weights`` holds the full (T, N) weight matrix: softmax over the kept
-    logits on each token's top-k set, exactly zero elsewhere.
+    logits on each token's top-k set, exactly zero elsewhere. ``keep`` is
+    that top-k set as a boolean array of the logits' shape.
     """
 
     logits: Tensor
     topk_indices: np.ndarray
     weights: Tensor
+    keep: np.ndarray
 
 
 def topk_select(logits: np.ndarray, k: int) -> np.ndarray:
@@ -145,7 +147,7 @@ def topk_route(x: Tensor, router_weights: Tensor, k: int) -> RouterDecision:
     np.put_along_axis(keep, idx, True, axis=-1)
     masked = mask_fill(logits, keep, NEG_SENTINEL)
     weights = softmax(masked, masked_value=NEG_SENTINEL)
-    return RouterDecision(logits=logits, topk_indices=idx, weights=weights)
+    return RouterDecision(logits=logits, topk_indices=idx, weights=weights, keep=keep)
 
 
 def balance_loss_from(logits: Tensor, active: np.ndarray) -> Tensor:

@@ -328,18 +328,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return out
 
 
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._raw(x.data.transpose(axes), x.requires_grad)
-    inverse = tuple(np.argsort(axes))
-
-    def rule(g, flow):
-        _send(flow, x, g.transpose(inverse))
-
-    _record(out, rule)
-    return out
-
-
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     """View of columns [start, stop) along the last axis."""
     x = _as_tensor(x)

@@ -594,25 +594,30 @@ def _record_routes(
     their positions in the trace (by default the window positions; a scalar
     for a single position).
 
-    With several sequences every route must cover the whole window. With one
-    sequence ``positions`` indexes the route rows directly, so a slice taken
-    from the end (``slice(-1, None)``) also reads a route that covers the
-    last position only (``TinyMoELM.forward(last_position_only=True)``)."""
+    A layer's route rows are (batch row, position) over the last
+    ``len(candidate_ids) // b`` window positions: the whole window, or the
+    last position only (``TinyMoELM.forward(last_position_only=True)``). A
+    position outside a route is rejected before any layer is recorded."""
     b, t = ids.shape
     window_positions = np.arange(t)[positions]
     if window_positions.size == 0:
         return
     if trace_positions is None:
         trace_positions = window_positions
-    # route rows are (batch row, position) flattened
-    if b == 1:  # one sequence, as in decoding: rows are window positions
-        rows, sequence_ids = positions, seq_base
-    else:
-        rows = (np.arange(b)[:, None] * t + window_positions).reshape(-1)
-        sequence_ids = np.repeat(np.arange(seq_base, seq_base + b), window_positions.size)
-        trace_positions = np.tile(trace_positions, b)
-    token_ids = ids.reshape(-1)[rows]
+    sequence_ids = np.repeat(np.arange(seq_base, seq_base + b), window_positions.size)
+    trace_positions = np.tile(trace_positions, b)
+    token_ids = ids[:, window_positions].reshape(-1)
+    layer_rows = []
     for layer_idx, rr in enumerate(routes):
+        per_seq = len(rr.candidate_ids) // b
+        first = t - per_seq  # the first window position the route covers
+        if window_positions.min() < first:
+            raise ContractError(
+                f"layer {layer_idx}: route covers window positions {first}..{t - 1}, "
+                f"position {window_positions.min()} requested"
+            )
+        layer_rows.append((np.arange(b)[:, None] * per_seq + window_positions - first).reshape(-1))
+    for layer_idx, (rr, rows) in enumerate(zip(routes, layer_rows)):
         trace.record_cell(
             sequence_id=sequence_ids,
             position=trace_positions,

@@ -2,7 +2,9 @@
 
 - Tape ops: the per-expert composition that ``moe_block_forward`` is
   checked against scatters and gathers through the tape with these; the
-  library itself runs the fused ``grouped_glu`` instead.
+  library itself runs the fused ``grouped_glu`` instead. ``transpose``
+  serves the per-op attention chain below; the library's fused
+  ``causal_attention`` needs no taped transpose.
 - A list-based sparsity trace, its per-cell recording loop and its
   ``np.unique`` cell index: the columnar ``SparsityTrace`` and ``avg_k``
   are checked against them.
@@ -26,6 +28,11 @@
 - ``beam_block_forward``: one ``beam`` block through the production
   ``baselines.block_forward``, returned with its top-k and mask decisions
   for the tests that inspect them.
+- ``reference_masked_route``: the masked strategies' route as two chains,
+  ``beam``'s and a separate soft-mask copy, with a one-hot balance set:
+  ``baselines.route``, which runs every masked kind through
+  ``beam.mask_forward`` and reuses ``topk_route``'s top-k set, must equal it
+  bit for bit, gradients included.
 """
 
 import csv
@@ -36,7 +43,7 @@ import zlib
 import numpy as np
 
 from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER, SparsityTrace
-from beamoe.baselines import RoutingStrategy, block_forward
+from beamoe.baselines import RouteResult, RoutingStrategy, block_forward, temperature_at
 from beamoe.beam import MaskDecision, mask_forward
 from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route
 from beamoe.tensor import (
@@ -47,14 +54,15 @@ from beamoe.tensor import (
     _record,
     _send,
     add,
+    binarize_ste,
     mask_fill,
     matmul,
     mul,
     reshape,
+    sigmoid,
     sigmoid_np,
     slice_cols,
     softmax,
-    transpose,
 )
 from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
 
@@ -69,6 +77,18 @@ def scatter_rows(values: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
 
     def rule(g, flow):
         _send(flow, values, g[idx])
+
+    _record(out, rule)
+    return out
+
+
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    x = _as_tensor(x)
+    out = Tensor._raw(x.data.transpose(axes), x.requires_grad)
+    inverse = tuple(np.argsort(axes))
+
+    def rule(g, flow):
+        _send(flow, x, g.transpose(inverse))
 
     _record(out, rule)
     return out
@@ -397,3 +417,43 @@ def beam_block_forward(
     x_n = block.normalize(h)
     decision = topk_route(x_n, block.router_w, block.cfg.top_k)
     return out, decision, mask_forward(x_n, block.mask_router)
+
+
+def reference_masked_route(
+    block, x_norm, strategy, training, step=0, total_steps=1, binarize_soft=False
+) -> RouteResult:
+    """``baselines.route`` for ``beam``, ``soft_mask`` and
+    ``soft_mask_tempered``. ``beam``: sigmoid(x W), a straight-through
+    binary mask, bits from it. Soft kinds: sigmoid(mul(x W, 1 / temp)), a
+    straight-through binary mask only when discretized (inference, tempered
+    or ``binarize_soft``), bits from raw >= tau when training or
+    discretized. The balance set is a one-hot of the top-k ids."""
+    kind, tau = strategy.kind, block.mask_router.tau
+    dec = topk_route(x_norm, block.router_w, block.cfg.top_k)
+    ids = dec.topk_indices
+    balance_active = np.zeros(dec.logits.shape, dtype=bool)
+    np.put_along_axis(balance_active, ids, True, axis=-1)
+    bits = np.ones(ids.shape, dtype=np.int64)
+    if kind == "beam":
+        raw = sigmoid(matmul(x_norm, block.mask_router.weight))
+        mask = binarize_ste(raw, tau)
+        weights_hat = mul(dec.weights, mask)
+        bits = np.take_along_axis(mask.data.astype(np.int64), ids, axis=-1)
+    else:
+        temp = 1.0
+        if kind == "soft_mask_tempered":
+            floor = strategy.params.get("temp_floor", 0.1)
+            temp = temperature_at(step, total_steps, floor) if training else floor
+        raw = sigmoid(mul(matmul(x_norm, block.mask_router.weight), 1.0 / temp))
+        discretize = not training and (kind == "soft_mask_tempered" or binarize_soft)
+        weights_hat = mul(dec.weights, binarize_ste(raw, tau) if discretize else raw)
+        if training or discretize:
+            bits = np.take_along_axis((raw.data >= tau).astype(np.int64), ids, axis=-1)
+    return RouteResult(
+        weights_hat=weights_hat,
+        logits=dec.logits,
+        balance_active=balance_active,
+        candidate_ids=ids,
+        active_bits=bits,
+        raw_mask=raw,
+    )

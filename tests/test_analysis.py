@@ -699,6 +699,30 @@ class TestColumnarTraceOracle:
         assert rank_extremes(trace) == rank_extremes(reference)
         assert expert_load(trace) == expert_load(reference)
 
+    def test_two_sequence_last_position_routes(self, masked_model):
+        # two windows: the first layer's route covers every position, the
+        # last layer's only the last one
+        model, ids = masked_model
+        t = model.cfg.context_length
+        xs = np.stack([ids[:t], ids[t : 2 * t]])
+        _, routes = model.forward(xs, training=False, last_position_only=True)
+        assert [len(rr.candidate_ids) for rr in routes] == [2 * t, 2]
+        trace, reference = SparsityTrace(), ListSparsityTrace()
+        trainer._record_routes(trace, routes, xs, 5, "decode", slice(-1, None), 40)
+        record_routes_per_cell(reference, routes, xs, 5, "decode", [(t - 1, 40)])
+        assert len(trace) == len(reference) > 0
+        assert_same_columns(trace.arrays(), reference.arrays())
+
+    def test_position_outside_the_route_rejected(self, masked_model):
+        model, ids = masked_model
+        t = model.cfg.context_length
+        xs = np.stack([ids[:t], ids[t : 2 * t]])
+        _, routes = model.forward(xs, training=False, last_position_only=True)
+        trace = SparsityTrace()
+        with pytest.raises(ContractError, match="layer 1: route covers window positions 15..15"):
+            trainer._record_routes(trace, routes, xs, 0, "prefill", slice(-2, None))
+        assert len(trace) == 0
+
     @pytest.mark.parametrize("spans", [(1, 1, 3), (3, 1, 1), (1, 3, 1), (3, 3, 3), (4, 50, 2)])
     def test_cell_index_matches_unique_rows(self, spans):
         # unsorted rows, repeated cells, negative ids, and key columns that

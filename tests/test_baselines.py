@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from beamoe import baselines, beam
 from beamoe.baselines import (
     RoutingStrategy,
+    block_forward,
     build_block,
     dynamic_select,
     route,
     temperature_at,
 )
-from beamoe.moe import MoEBlockConfig, topk_route
-from beamoe.tensor import ContractError, Tensor
+from beamoe.moe import MoEBlockConfig, balance_loss_from, topk_route
+from beamoe.tensor import ContractError, Tape, Tensor, mul, tsum
+
+from reference_ops import reference_masked_route
 
 
 def cfg(n=6, k=3, d_h=5, d_ff=4, **kw):
@@ -273,6 +277,106 @@ class TestSoftMask:
         a, b = temperature_at(10, 100), temperature_at(20, 100)
         c = temperature_at(30, 100)
         assert b / a == pytest.approx(c / b)
+
+
+MASK_STAGE_STRATEGIES = [
+    RoutingStrategy("beam"),
+    RoutingStrategy("beam", {"tau": 0.3}),
+    RoutingStrategy("soft_mask"),
+    RoutingStrategy("soft_mask", {"tau": 0.3}),
+    RoutingStrategy("soft_mask_tempered"),
+    RoutingStrategy("soft_mask_tempered", {"temp_floor": 0.3}),
+]
+MASK_STAGE_TOTAL_STEPS = 8
+
+
+def _masked_block_pass(strategy, training, step, binarize_soft):
+    """One block forward on fixed random weights (and, when training, one
+    backward of a loss that reads the output, the sparsity term and the
+    balance term): the arrays it produced, gradients included, and the
+    number of tape nodes it recorded."""
+    cfg = MoEBlockConfig(d_h=6, d_ff=5, num_experts=6, top_k=3, num_shared=1)
+    rng = np.random.default_rng(21)
+    block = build_block(cfg, strategy, rng)
+    block.mask_router.weight.data[...] = rng.normal(0, 2.0, (6, 6))
+    h = Tensor(rng.normal(size=(24, 6)), requires_grad=True)
+    upstream = Tensor(rng.normal(size=(24, 6)))
+    args = (strategy, training, step, MASK_STAGE_TOTAL_STEPS, binarize_soft)
+    with Tape() as tape:
+        out, rr = block_forward(h, block, *args)
+        if training:
+            loss = tsum(mul(out, upstream))
+            loss = loss + mul(beam.sparsity_loss(rr.raw_mask, rr.reg_indices), 0.3)
+            loss = loss + mul(balance_loss_from(rr.logits, rr.balance_active), 0.1)
+            tape.backward(loss)
+    arrays = {
+        "out": out.data,
+        "weights_hat": rr.weights_hat.data,
+        "raw_mask": rr.raw_mask.data,
+        "active_bits": rr.active_bits,
+        "balance_active": rr.balance_active,
+        "candidate_ids": rr.candidate_ids,
+    }
+    if training:
+        arrays["grad h"] = h.grad
+        for name, t in block.named_tensors():
+            arrays[f"grad {name}"] = t.grad
+    return arrays, len(tape.nodes)
+
+
+class TestOneMaskStage:
+    """Every masked strategy takes its mask from ``beam.mask_forward`` and
+    its balance set from ``topk_route``, bit-identical to the two-chain
+    oracle ``reference_masked_route``."""
+
+    @pytest.mark.parametrize("strategy", MASK_STAGE_STRATEGIES, ids=lambda s: f"{s.kind}-{s.params}")
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("step", [0, 3, MASK_STAGE_TOTAL_STEPS - 1])
+    @pytest.mark.parametrize("binarize_soft", [False, True], ids=["soft", "binarize_soft"])
+    def test_block_forward_equals_reference_chain(
+        self, strategy, training, step, binarize_soft, monkeypatch
+    ):
+        got, got_nodes = _masked_block_pass(strategy, training, step, binarize_soft)
+        monkeypatch.setattr(baselines, "route", reference_masked_route)
+        want, want_nodes = _masked_block_pass(strategy, training, step, binarize_soft)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert want[name] is not None, name
+            assert got[name].dtype == want[name].dtype, name
+            assert np.array_equal(got[name], want[name]), name
+            if got[name].dtype == np.float64:
+                assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), name
+        if strategy.kind == "beam":  # the same tape: matmul, sigmoid, STE, mul
+            assert got_nodes == want_nodes
+
+    def test_masks_disagree_somewhere(self):
+        # the equality above is only informative if the mask closes slots
+        got, _ = _masked_block_pass(RoutingStrategy("beam"), True, 0, False)
+        assert 0 < got["active_bits"].sum() < got["active_bits"].size
+
+    @pytest.mark.parametrize("strategy", MASK_STAGE_STRATEGIES, ids=lambda s: f"{s.kind}-{s.params}")
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_each_masked_kind_calls_mask_forward_once(self, strategy, training, monkeypatch):
+        calls = []
+        real = beam.mask_forward
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(beam, "mask_forward", spy)
+        _masked_block_pass(strategy, training, 3, True)
+        assert len(calls) == 1
+
+    def test_unmasked_kinds_never_call_mask_forward(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(beam, "mask_forward", lambda *a, **k: calls.append(a))
+        for kind in sorted(set(baselines.KINDS) - baselines._MASKED_KINDS):
+            s = RoutingStrategy(kind)
+            block, rng = block_for(s)
+            for training in (True, False):
+                block_forward(Tensor(rng.normal(size=(5, 5))), block, s, training)
+        assert calls == []
 
 
 class TestUniversalInvariants:

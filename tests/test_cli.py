@@ -42,6 +42,27 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path, cfg
 
 
+def write_diverging_config(tmp_path, name="diverge.json", **overrides):
+    """A vanilla config whose absurd learning rate makes the loss non-finite
+    within a few steps (the trainer's own divergence test uses it)."""
+    return write_config(
+        tmp_path,
+        name=name,
+        strategy={"kind": "vanilla_topk", "params": {}},
+        train={"steps": 60, "learning_rate": 1e200, "grad_clip_norm": 0.0},
+        **overrides,
+    )
+
+
+def assert_diverged_run(out: Path, err: str):
+    assert "non-finite loss at step" in err
+    assert f"trace written to {out / 'training_trace.csv'}, no checkpoint saved" in err
+    rows = (out / "training_trace.csv").read_text().splitlines()
+    assert len(rows) > 1  # the header and the finite steps
+    assert (out / "resolved_config.json").exists()
+    assert not (out / "checkpoint.bin").exists()
+
+
 class TestConfigValidation:
     def test_missing_required_field(self, tmp_path):
         path, _ = write_config(tmp_path, strategy=None)
@@ -102,6 +123,12 @@ class TestTrainCommand:
         assert (out / "checkpoint.bin").exists()
         assert (out / "training_trace.csv").exists()
         assert (out / "resolved_config.json").exists()
+
+    def test_divergence_writes_trace_and_no_checkpoint(self, tmp_path, capsys):
+        path, cfg = write_diverging_config(tmp_path)
+        with np.errstate(all="ignore"):
+            assert main(["train", str(path)]) == 1
+        assert_diverged_run(Path(cfg["output_dir"]), capsys.readouterr().err)
 
     def test_zero_steps_checkpoint_equals_init(self, tmp_path):
         from beamoe.baselines import RoutingStrategy
@@ -355,6 +382,15 @@ class TestCompareCommand:
         curves = (out / "active_rates.csv").read_text().splitlines()
         assert curves[0] == "config,seed,step,active_rate"
         assert len(curves) == 1 + 4 * 3  # runs x steps
+
+    def test_diverged_run_writes_trace_and_exits_1(self, tmp_path, capsys):
+        path, _ = write_diverging_config(tmp_path)
+        out = tmp_path / "cmp"
+        with np.errstate(all="ignore"):
+            code = main(["compare", str(path), "--seeds", "0", "--out", str(out), "--eval-windows", "1"])
+        assert code == 1
+        assert_diverged_run(out / "diverge_seed0", capsys.readouterr().err)
+        assert not (out / "summary.csv").exists()
 
     def test_mismatched_shapes_exit_2(self, tmp_path):
         cfg_a, _ = write_config(tmp_path, name="a.json")

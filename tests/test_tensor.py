@@ -29,7 +29,6 @@ from beamoe.tensor import (
     softmax,
     softmax_np,
     take_rows,
-    transpose,
     tsum,
     untaped,
 )
@@ -40,6 +39,7 @@ from reference_ops import (
     reference_sigmoid_np,
     reference_softmax_np,
     scatter_rows,
+    transpose,
 )
 
 

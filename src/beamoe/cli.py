@@ -283,8 +283,24 @@ def cmd_bench_dispatch(args) -> int:
     return 0
 
 
+_SUMMARY_HEADER = ["config", "seed", "final_lm_loss", "perplexity", "avg_k", "final_active_rate"]
+_CURVE_HEADER = ["config", "seed", "step", "active_rate"]
+
+
+def _write_rows(path: Path, header: list[str], rows, new: bool) -> None:
+    """Start ``path`` with ``header`` when ``new``, else append to it."""
+    with open(path, "w" if new else "a", newline="") as f:
+        w = csv.writer(f)
+        if new:
+            w.writerow(header)
+        w.writerows(rows)
+
+
 def cmd_compare(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    if not seeds:
+        print("error: --seeds names no seed", file=sys.stderr)
+        return 2
     resolved_list = [load_config(p) for p in args.configs]
     reference = resolved_list[0]
     for resolved in resolved_list[1:]:
@@ -296,8 +312,9 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows = []
-    curve_rows = []
+    # each finished run's rows go to disk before the next run starts, so a
+    # later divergence keeps them; the files appear with the first finished run
+    first = True
     for path, resolved in zip(args.configs, resolved_list):
         label = Path(path).stem
         for seed in seeds:
@@ -310,32 +327,18 @@ def cmd_compare(args) -> int:
                 return 1
             model, rows, corpus_ids, _ = trained
             result = evaluate(model, corpus_ids, max_windows=args.eval_windows)
-            summary_rows.append(
-                {
-                    "config": label,
-                    "seed": seed,
-                    "final_lm_loss": rows[-1].lm_loss if rows else float("nan"),
-                    "perplexity": result.perplexity,
-                    "avg_k": result.avg_k,
-                    "final_active_rate": rows[-1].expert_active_rate if rows else 1.0,
-                }
-            )
-            for r in rows:
-                curve_rows.append((label, seed, r.step, r.expert_active_rate))
-
-    with open(out / "summary.csv", "w", newline="") as f:
-        w = csv.DictWriter(
-            f,
-            fieldnames=["config", "seed", "final_lm_loss", "perplexity", "avg_k", "final_active_rate"],
-        )
-        w.writeheader()
-        for row in summary_rows:
-            w.writerow(row)
-    with open(out / "active_rates.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["config", "seed", "step", "active_rate"])
-        for row in curve_rows:
-            w.writerow(row)
+            summary = [
+                label,
+                seed,
+                rows[-1].lm_loss if rows else float("nan"),
+                result.perplexity,
+                result.avg_k,
+                rows[-1].expert_active_rate if rows else 1.0,
+            ]
+            _write_rows(out / "summary.csv", _SUMMARY_HEADER, [summary], first)
+            curve = [(label, seed, r.step, r.expert_active_rate) for r in rows]
+            _write_rows(out / "active_rates.csv", _CURVE_HEADER, curve, first)
+            first = False
     print(f"summary: {out / 'summary.csv'}")
     return 0
 

@@ -44,11 +44,7 @@ class DispatchPlan:
         return -(-int(self.real_counts[expert]) // self.block_size) * self.block_size
 
 
-def align_block(
-    ids: np.ndarray,
-    block_size: int = 16,
-    num_experts: int | None = None,
-) -> DispatchPlan:
+def align_block(ids: np.ndarray, block_size: int = 16, *, num_experts: int) -> DispatchPlan:
     """Group the unmasked slots of a (T, K) id array by expert.
 
     -1 marks a masked slot; any other id outside [0, num_experts) is
@@ -59,8 +55,6 @@ def align_block(
         raise ContractError("block_size must be >= 1")
     ids = np.asarray(ids, dtype=np.int64)
     _, k = ids.shape
-    if num_experts is None:
-        num_experts = int(ids.max()) + 1 if ids.size and ids.max() >= 0 else 0
     if ids.size and (ids.min() < -1 or ids.max() >= num_experts):
         raise ContractError(
             f"expert ids must lie in [-1, {num_experts}); got {ids.min()}..{ids.max()}"

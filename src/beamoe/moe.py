@@ -8,14 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (
-    NEG_SENTINEL,
     ContractError,
     ShapeError,
     Tensor,
     _record,
     _send,
     add,
-    mask_fill,
     matmul,
     mul,
     rms_norm,
@@ -135,8 +133,8 @@ def topk_select(logits: np.ndarray, k: int) -> np.ndarray:
 def topk_route(x: Tensor, router_weights: Tensor, k: int) -> RouterDecision:
     """Route tokens to their k highest-logit experts.
 
-    Non-selected logits are replaced by the most-negative finite sentinel
-    before the softmax, which maps them to exactly zero weight.
+    The softmax runs over each token's top-k set ``keep``; every other
+    expert gets exactly zero weight and exactly zero gradient.
     """
     n = router_weights.shape[-1]
     if not 1 <= k <= n:
@@ -145,8 +143,7 @@ def topk_route(x: Tensor, router_weights: Tensor, k: int) -> RouterDecision:
     idx = topk_select(logits.data, k)
     keep = np.zeros(logits.shape, dtype=bool)
     np.put_along_axis(keep, idx, True, axis=-1)
-    masked = mask_fill(logits, keep, NEG_SENTINEL)
-    weights = softmax(masked, masked_value=NEG_SENTINEL)
+    weights = softmax(logits, keep)
     return RouterDecision(logits=logits, topk_indices=idx, weights=weights, keep=keep)
 
 

@@ -1,7 +1,7 @@
 """Dense float64 arrays with tape-based reverse-mode differentiation.
 
-Just enough machinery for a small mixture-of-experts stack: matmul, masked
-softmax, causal attention, sigmoid/silu, row gather, rms-norm,
+Just enough machinery for a small mixture-of-experts stack: matmul, softmax
+over a kept set, causal attention, sigmoid/silu, row gather, rms-norm,
 cross-entropy, plus a straight-through binarizer. Forward values live in
 numpy; every op records a backward rule on the active tape. With no tape
 active the same functions run forward-only, which is how inference reuses
@@ -17,12 +17,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-
-# Stand-in for -inf in masked logits: most-negative finite float64, so exp()
-# underflows to 0.0 instead of producing NaNs, and masked softmax can detect
-# masked entries by exact comparison.
-NEG_SENTINEL = np.finfo(np.float64).min
-
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy an operation's contract."""
@@ -66,12 +60,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def accumulate_grad(self, contribution: np.ndarray, owned: bool = False) -> None:
+    def accumulate_grad(self, contribution: np.ndarray) -> None:
+        # the first contribution becomes the buffer: pass only unshared arrays
         if self.grad is None:
-            self.grad = contribution if owned else contribution.copy()
+            self.grad = contribution
         else:
             self.grad += contribution
 
@@ -90,18 +82,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -145,10 +125,10 @@ class Tape:
                 continue
             g = entry[1]
             # flow buffers are owned here; rules only read them
-            out.accumulate_grad(g, owned=True)
+            out.accumulate_grad(g)
             rule(g, flow)
         for tensor, g in flow.values():
-            tensor.accumulate_grad(g, owned=True)
+            tensor.accumulate_grad(g)
 
 
 def _active_tape() -> Tape | None:
@@ -229,18 +209,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor._raw(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def rule(g, flow):
-        _send(flow, a, _unbroadcast(g, a.data.shape))
-        _send(flow, b, _unbroadcast(-g, b.data.shape))
-
-    _record(out, rule)
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor._raw(a.data * b.data, a.requires_grad or b.requires_grad)
@@ -310,12 +278,6 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
     out = Tensor._raw(x.data.reshape(shape), x.requires_grad)
@@ -361,19 +323,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         gx = np.zeros(shape)
         np.add.at(gx, idx, g)
         _send(flow, x, gx, owned=True)
-
-    _record(out, rule)
-    return out
-
-
-def mask_fill(x: Tensor, keep: np.ndarray, fill_value: float) -> Tensor:
-    """Replace entries where ``keep`` is False by a constant."""
-    x = _as_tensor(x)
-    keep = np.asarray(keep, dtype=bool)
-    out = Tensor._raw(np.where(keep, x.data, fill_value), x.requires_grad)
-
-    def rule(g, flow):
-        _send(flow, x, np.where(keep, g, 0.0), owned=True)
 
     _record(out, rule)
     return out
@@ -428,32 +377,38 @@ def silu(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_np(x: np.ndarray, masked_value: float | None = None) -> np.ndarray:
-    if masked_value is None:
+def softmax_np(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    if keep is None:
         shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
-    masked = x == masked_value
-    if masked.all(axis=-1).any():
+    if keep.shape != x.shape:
+        raise ShapeError(f"keep {keep.shape} does not match softmax input {x.shape}")
+    if not keep.any(axis=-1).all():
         raise ContractError("softmax row with every entry masked")
-    # masked entries become -inf, and exp(-inf) is exactly 0
-    z = np.where(masked, -np.inf, x)
+    # dropped entries become -inf, and exp(-inf) is exactly 0
+    z = np.where(keep, x, -np.inf)
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
-def softmax(x: Tensor, masked_value: float | None = None) -> Tensor:
-    """Softmax over the last axis; entries equal to ``masked_value`` map to
-    exactly 0 probability and receive zero gradient."""
+def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis, restricted to ``keep`` when given: entries
+    outside it map to exactly 0 probability and receive exactly +0 gradient."""
     x = _as_tensor(x)
-    y = softmax_np(x.data, masked_value)
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+    y = softmax_np(x.data, keep)
     out = Tensor._raw(y, x.requires_grad)
 
     def rule(g, flow):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _send(flow, x, y * (g - dot), owned=True)
+        gx = y * (g - dot)
+        if keep is not None:
+            np.copyto(gx, 0.0, where=~keep)
+        _send(flow, x, gx, owned=True)
 
     _record(out, rule)
     return out
@@ -593,64 +548,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     _record(out, rule)
     return out
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def check_gradient(
-    f,
-    params: list[Tensor],
-    epsilon: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    max_coords: int | None = None,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``f`` takes no arguments, reads the current contents of ``params``, and
-    returns a scalar Tensor. Coordinates are exhaustive unless ``max_coords``
-    caps the per-parameter sample (drawn from ``rng``).
-    """
-    if epsilon <= 0:
-        raise ContractError("epsilon must be positive")
-    saved = [p.grad for p in params]
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        out = f()
-        if out.data.size != 1:
-            raise ShapeError("check_gradient needs a scalar-valued function")
-        if not np.isfinite(out.data):
-            raise NumericError("function value is not finite")
-        tape.backward(out)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
-    for p, g in zip(params, saved):
-        p.grad = g
-
-    worst = 0.0
-    for p, ana in zip(params, analytic):
-        n = p.data.size
-        if max_coords is not None and n > max_coords:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(n, size=max_coords, replace=False)
-        else:
-            coords = range(n)
-        flat = p.data.reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + epsilon
-            hi = f().item()
-            flat[c] = orig - epsilon
-            lo = f().item()
-            flat[c] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericError("function value is not finite under perturbation")
-            fd = (hi - lo) / (2.0 * epsilon)
-            err = abs(ana.reshape(-1)[c] - fd) / (abs(fd) + 1e-8)
-            worst = max(worst, err)
-    return worst

@@ -56,6 +56,8 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.strategy, dict):
             self.strategy = RoutingStrategy(**self.strategy)
+        if self.n_layers < 1 or self.n_heads < 1:
+            raise ContractError("n_layers and n_heads must be >= 1")
         if self.d_h % self.n_heads != 0:
             raise ContractError("d_h must be divisible by n_heads")
         if self.context_length < 2:

@@ -15,9 +15,17 @@
   ``sigmoid_np`` must equal it bit for bit.
 - ``reference_softmax_np``, the masked softmax that zeroed masked entries
   by a boolean scatter, and ``reference_causal_attention``, the per-op tape
-  chain (head split, scores, scale, ``mask_fill``, masked ``softmax``,
-  value product, merge): ``softmax_np`` and the fused ``causal_attention``
-  must equal them bit for bit, gradients included.
+  chain (head split, scores, scale, ``mask_fill``, ``sentinel_softmax``,
+  value product, merge): ``softmax_np`` over a kept set and the fused
+  ``causal_attention`` must equal them bit for bit, gradients included.
+- The sentinel encoding of a kept set, which the library used before its
+  softmax took the set as a boolean array: ``NEG_SENTINEL`` (the
+  most-negative finite float64), the ``mask_fill`` tape op that writes it
+  outside the set, and ``sentinel_softmax`` / ``sentinel_softmax_np``, which
+  find the set again by comparing every entry with it.
+  ``reference_topk_route`` chains them after the router matmul, as
+  ``topk_route`` did: ``topk_route`` must equal it bit for bit, gradients
+  and signs of zero included.
 - Greedy decoding that runs the whole window on every token: the
   last-position decode of ``sample_greedy`` is checked against it.
 - The version-1 checkpoint writer (no vocabulary): the loader must keep
@@ -33,6 +41,8 @@
   ``baselines.route``, which runs every masked kind through
   ``beam.mask_forward`` and reuses ``topk_route``'s top-k set, must equal it
   bit for bit, gradients included.
+- ``check_gradient``, the central-difference check of tape gradients
+  (criterion 3's oracle).
 """
 
 import csv
@@ -45,24 +55,24 @@ import numpy as np
 from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER, SparsityTrace
 from beamoe.baselines import RouteResult, RoutingStrategy, block_forward, temperature_at
 from beamoe.beam import MaskDecision, mask_forward
-from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route
+from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route, topk_select
 from beamoe.tensor import (
-    NEG_SENTINEL,
     ContractError,
+    NumericError,
+    ShapeError,
+    Tape,
     Tensor,
     _as_tensor,
     _record,
     _send,
     add,
     binarize_ste,
-    mask_fill,
     matmul,
     mul,
     reshape,
     sigmoid,
     sigmoid_np,
     slice_cols,
-    softmax,
 )
 from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
 
@@ -225,6 +235,66 @@ def reference_softmax_np(x: np.ndarray, masked_value: float) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+# Stand-in for -inf in masked logits: most-negative finite float64, so exp()
+# underflows to 0.0 instead of producing NaNs, and masked softmax can detect
+# masked entries by exact comparison.
+NEG_SENTINEL = np.finfo(np.float64).min
+
+
+def mask_fill(x: Tensor, keep: np.ndarray, fill_value: float) -> Tensor:
+    """Replace entries where ``keep`` is False by a constant."""
+    x = _as_tensor(x)
+    keep = np.asarray(keep, dtype=bool)
+    out = Tensor._raw(np.where(keep, x.data, fill_value), x.requires_grad)
+
+    def rule(g, flow):
+        _send(flow, x, np.where(keep, g, 0.0), owned=True)
+
+    _record(out, rule)
+    return out
+
+
+def sentinel_softmax_np(x: np.ndarray, masked_value: float) -> np.ndarray:
+    """Softmax over the last axis that skips entries equal to ``masked_value``."""
+    masked = x == masked_value
+    if masked.all(axis=-1).any():
+        raise ContractError("softmax row with every entry masked")
+    # masked entries become -inf, and exp(-inf) is exactly 0
+    z = np.where(masked, -np.inf, x)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def sentinel_softmax(x: Tensor, masked_value: float) -> Tensor:
+    """Softmax over the last axis; entries equal to ``masked_value`` map to
+    exactly 0 probability and receive zero gradient."""
+    x = _as_tensor(x)
+    y = sentinel_softmax_np(x.data, masked_value)
+    out = Tensor._raw(y, x.requires_grad)
+
+    def rule(g, flow):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        _send(flow, x, y * (g - dot), owned=True)
+
+    _record(out, rule)
+    return out
+
+
+def reference_topk_route(x: Tensor, router_weights: Tensor, k: int) -> RouterDecision:
+    """``topk_route`` as the matmul, ``mask_fill`` and sentinel-softmax chain:
+    the logits outside each token's top-k set are overwritten with
+    ``NEG_SENTINEL``, which the softmax then maps to exactly 0."""
+    logits = matmul(x, router_weights)
+    idx = topk_select(logits.data, k)
+    keep = np.zeros(logits.shape, dtype=bool)
+    np.put_along_axis(keep, idx, True, axis=-1)
+    masked = mask_fill(logits, keep, NEG_SENTINEL)
+    weights = sentinel_softmax(masked, masked_value=NEG_SENTINEL)
+    return RouterDecision(logits=logits, topk_indices=idx, weights=weights, keep=keep)
+
+
 def reference_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Causal multi-head attention as a chain of tape ops; q is (B, Tq, D)
     for the last Tq positions, k and v are (B, T, D)."""
@@ -238,7 +308,7 @@ def reference_causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) ->
     q, k, v = heads(q, tq), heads(k, t), heads(v, t)
     scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
     causal = np.tril(np.ones((t, t), dtype=bool))[t - tq :]
-    weights = softmax(mask_fill(scores, causal, NEG_SENTINEL), masked_value=NEG_SENTINEL)
+    weights = sentinel_softmax(mask_fill(scores, causal, NEG_SENTINEL), masked_value=NEG_SENTINEL)
     out = transpose(matmul(weights, v), (0, 2, 1, 3))
     return reshape(out, (b, tq, d))
 
@@ -457,3 +527,63 @@ def reference_masked_route(
         active_bits=bits,
         raw_mask=raw,
     )
+
+
+def _item(t: Tensor) -> float:
+    return float(t.data.reshape(-1)[0])
+
+
+def check_gradient(
+    f,
+    params: list[Tensor],
+    epsilon: float = 1e-5,
+    rng: np.random.Generator | None = None,
+    max_coords: int | None = None,
+) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``f`` takes no arguments, reads the current contents of ``params``, and
+    returns a scalar Tensor. Coordinates are exhaustive unless ``max_coords``
+    caps the per-parameter sample (drawn from ``rng``).
+    """
+    if epsilon <= 0:
+        raise ContractError("epsilon must be positive")
+    saved = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        out = f()
+        if out.data.size != 1:
+            raise ShapeError("check_gradient needs a scalar-valued function")
+        if not np.isfinite(out.data):
+            raise NumericError("function value is not finite")
+        tape.backward(out)
+    analytic = [
+        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
+    ]
+    for p, g in zip(params, saved):
+        p.grad = g
+
+    worst = 0.0
+    for p, ana in zip(params, analytic):
+        n = p.data.size
+        if max_coords is not None and n > max_coords:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            coords = rng.choice(n, size=max_coords, replace=False)
+        else:
+            coords = range(n)
+        flat = p.data.reshape(-1)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + epsilon
+            hi = _item(f())
+            flat[c] = orig - epsilon
+            lo = _item(f())
+            flat[c] = orig
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise NumericError("function value is not finite under perturbation")
+            fd = (hi - lo) / (2.0 * epsilon)
+            err = abs(ana.reshape(-1)[c] - fd) / (abs(fd) + 1e-8)
+            worst = max(worst, err)
+    return worst

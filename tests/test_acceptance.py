@@ -23,10 +23,10 @@ from beamoe.analysis import (
 from beamoe.baselines import RoutingStrategy, build_block, dynamic_select, route
 from beamoe.beam import MaskRouter, mask_forward
 from beamoe.moe import MoEBlock, MoEBlockConfig, moe_block_forward, topk_route
-from beamoe.tensor import Tape, Tensor, check_gradient, cross_entropy, mul, reshape, tsum
+from beamoe.tensor import Tape, Tensor, cross_entropy, mul, reshape, tsum
 from beamoe.trainer import ModelConfig, TrainConfig, evaluate, ingest_text, synthetic_text, train
 
-from reference_ops import beam_block_forward, ste_backward
+from reference_ops import beam_block_forward, check_gradient, ste_backward
 from test_beam import closed_form_vs_tape_case
 
 

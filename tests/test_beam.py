@@ -5,7 +5,7 @@ from beamoe.beam import MaskDecision, MaskRouter, mask_forward, sparsity_loss
 from beamoe.moe import MoEBlock, MoEBlockConfig, expert_forward, moe_block_forward, topk_route
 from beamoe.tensor import ContractError, Tape, Tensor, add, mul, sigmoid_np, tsum
 
-from reference_ops import beam_block_forward, masked_aggregate, ste_backward
+from reference_ops import beam_block_forward, check_gradient, masked_aggregate, ste_backward
 
 
 def tiny_block(rng, d_h=6, d_ff=5, n=4, k=2, num_shared=0, has_norm=False, tau=0.5):
@@ -320,7 +320,7 @@ class TestBeamFiniteDifferences:
         # 1e-17. The mask router itself is not checked: its STE gradient is
         # not a derivative.
         from beamoe.baselines import RoutingStrategy, block_forward
-        from beamoe.tensor import check_gradient, cross_entropy
+        from beamoe.tensor import cross_entropy
 
         strategy = RoutingStrategy("beam")
         worst = 0.0

@@ -88,6 +88,12 @@ class TestConfigValidation:
         path, _ = write_config(tmp_path, strategy={"kind": "nope", "params": {}})
         assert main(["train", str(path)]) == 2
 
+    @pytest.mark.parametrize("field", ["n_heads", "n_layers"])
+    def test_zero_heads_or_layers_exit_2(self, tmp_path, capsys, field):
+        path, _ = write_config(tmp_path, model={field: 0})
+        assert main(["train", str(path)]) == 2
+        assert "n_layers and n_heads must be >= 1" in capsys.readouterr().err
+
     def test_resolve_materializes_defaults(self, tmp_path):
         path, _ = write_config(tmp_path)
         resolved = load_config(path)
@@ -391,6 +397,28 @@ class TestCompareCommand:
         assert code == 1
         assert_diverged_run(out / "diverge_seed0", capsys.readouterr().err)
         assert not (out / "summary.csv").exists()
+
+    def test_finished_runs_kept_when_a_later_run_diverges(self, tmp_path, capsys):
+        first, _ = write_config(tmp_path, name="first.json", strategy={"kind": "vanilla_topk", "params": {}})
+        diverging, _ = write_diverging_config(tmp_path)
+        out = tmp_path / "cmp"
+        with np.errstate(all="ignore"):
+            code = main(
+                ["compare", str(first), str(diverging), "--seeds", "0", "--out", str(out), "--eval-windows", "1"]
+            )
+        assert code == 1
+        assert_diverged_run(out / "diverge_seed0", capsys.readouterr().err)
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == "config,seed,final_lm_loss,perplexity,avg_k,final_active_rate"
+        assert len(summary) == 2 and summary[1].startswith("first,0,")
+        curves = (out / "active_rates.csv").read_text().splitlines()
+        assert curves[0] == "config,seed,step,active_rate"
+        assert [row.split(",")[:3] for row in curves[1:]] == [["first", "0", str(step)] for step in range(3)]
+
+    def test_no_seed_exit_2(self, tmp_path):
+        cfg, _ = write_config(tmp_path)
+        assert main(["compare", str(cfg), "--seeds", ",", "--out", str(tmp_path / "c")]) == 2
+        assert not (tmp_path / "c").exists()
 
     def test_mismatched_shapes_exit_2(self, tmp_path):
         cfg_a, _ = write_config(tmp_path, name="a.json")

@@ -74,8 +74,6 @@ class TestAlignBlock:
         for bad in ([[5, 1], [-3, 0]], [[4, 0]], [[-2, 1]]):
             with pytest.raises(ContractError):
                 align_block(np.array(bad), 16, num_experts=4)
-        with pytest.raises(ContractError):
-            align_block(np.array([[-3, 0]]), 16)
 
 
 class TestGroupedExecute:

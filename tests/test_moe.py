@@ -5,6 +5,7 @@ from beamoe.moe import (
     Expert,
     MoEBlock,
     MoEBlockConfig,
+    balance_loss_from,
     expert_forward,
     expert_forward_np,
     moe_block_forward,
@@ -16,7 +17,6 @@ from beamoe.tensor import (
     Tape,
     Tensor,
     add,
-    check_gradient,
     mul,
     reshape,
     rms_norm,
@@ -24,7 +24,13 @@ from beamoe.tensor import (
     tsum,
 )
 
-from reference_ops import gather_rc, load_balance_loss, scatter_rows
+from reference_ops import (
+    check_gradient,
+    gather_rc,
+    load_balance_loss,
+    reference_topk_route,
+    scatter_rows,
+)
 
 
 def make_expert(d_h, d_ff, rng, std=0.5):
@@ -157,6 +163,48 @@ class TestTopkRoute:
     def test_topk_select_stability(self):
         ids = topk_select(np.array([[5.0, 5.0, 5.0]]), 2)
         assert ids.tolist() == [[0, 1]]
+
+
+def _route_with_grads(route_fn, x, w, k, upstream):
+    leaves = [Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)]
+    with Tape() as tape:
+        dec = route_fn(*leaves, k)
+        nodes = len(tape.nodes)
+        loss = add(tsum(mul(dec.weights, upstream)), balance_loss_from(dec.logits, dec.keep))
+        tape.backward(loss)
+    return dec, nodes, [t.grad for t in leaves]
+
+
+def _bit_equal(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTopkRouteAgainstSentinelChain:
+    """``topk_route`` equals the matmul, ``mask_fill`` and sentinel-softmax
+    chain bit for bit, gradients and signs of zero included."""
+
+    @pytest.mark.parametrize("nulls", [0, 2], ids=["width_n", "n_plus_2_nulls"])
+    @pytest.mark.parametrize("t", [1, 7, 512])
+    @pytest.mark.parametrize("tied", [False, True], ids=["drawn", "tied"])
+    def test_equals_reference(self, nulls, t, tied):
+        d, n, k = 6, 8, 4
+        rng = np.random.default_rng([t, nulls, tied])
+        x = rng.normal(size=(t, d))
+        w = rng.normal(size=(d, n + nulls))
+        if tied:
+            # equal columns tie whole groups of logits, zero rows tie every logit
+            w[:, 1::2] = w[:, 0::2]
+            x[::3] = 0.0
+        upstream = rng.normal(size=(t, n + nulls))
+        dec, nodes, grads = _route_with_grads(topk_route, x, w, k, upstream)
+        ref, _, ref_grads = _route_with_grads(reference_topk_route, x, w, k, upstream)
+        assert nodes == 2
+        assert _bit_equal(dec.logits.data, ref.logits.data)
+        assert _bit_equal(dec.weights.data, ref.weights.data)
+        assert np.array_equal(dec.keep, ref.keep) and dec.keep.dtype == bool
+        assert np.array_equal(dec.topk_indices, ref.topk_indices)
+        for name, got, want in zip(("x", "router_weights"), grads, ref_grads):
+            assert _bit_equal(got, want), name
 
 
 class TestLoadBalanceLoss:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beamoe.tensor import (
-    NEG_SENTINEL,
     ContractError,
     NumericError,
     ShapeError,
@@ -13,12 +12,9 @@ from beamoe.tensor import (
     add,
     binarize_ste,
     causal_attention,
-    check_gradient,
     cross_entropy,
     div,
-    mask_fill,
     matmul,
-    mean,
     mul,
     reshape,
     rms_norm,
@@ -34,11 +30,15 @@ from beamoe.tensor import (
 )
 
 from reference_ops import (
+    NEG_SENTINEL,
+    check_gradient,
     gather_rc,
+    mask_fill,
     reference_causal_attention,
     reference_sigmoid_np,
     reference_softmax_np,
     scatter_rows,
+    sentinel_softmax,
     transpose,
 )
 
@@ -112,8 +112,9 @@ class TestSoftmax:
         assert np.allclose(softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
 
     def test_masked_oracle(self):
-        # direct exp/sum computation over the two live entries
-        out = softmax(Tensor([[2.0, 1.0, NEG_SENTINEL]]), masked_value=NEG_SENTINEL)
+        # direct exp/sum computation over the two kept entries; the dropped
+        # entry is the largest, so it would dominate if it leaked in
+        out = softmax(Tensor([[2.0, 1.0, 9.0]]), [[True, True, False]])
         e = np.exp([2.0, 1.0])
         assert abs(out.data[0, 0] - e[0] / e.sum()) < 1e-4
         assert abs(out.data[0, 0] - 0.7311) < 1e-4
@@ -133,43 +134,84 @@ class TestSoftmax:
 
     def test_all_masked_row_rejected(self):
         with pytest.raises(ContractError):
-            softmax(Tensor([[NEG_SENTINEL, NEG_SENTINEL]]), masked_value=NEG_SENTINEL)
+            softmax(Tensor([[1.0, 2.0]]), [[False, False]])
+
+    def test_wrong_shape_keep_rejected(self):
+        x = np.zeros((2, 3))
+        for keep in (np.ones((3,), bool), np.ones((2, 4), bool), np.ones((1, 2, 3), bool)):
+            with pytest.raises(ShapeError):
+                softmax_np(x, keep)
+            with pytest.raises(ShapeError):
+                softmax(Tensor(x), keep)
 
     def test_masked_entries_get_zero_grad(self):
-        x = Tensor([[2.0, 1.0, NEG_SENTINEL]], requires_grad=True)
-        backward(lambda t: tsum(mul(softmax(t, masked_value=NEG_SENTINEL), [[1.0, 2.0, 3.0]])), x)
-        assert x.grad[0, 2] == 0.0
+        x = Tensor([[2.0, 1.0, 9.0]], requires_grad=True)
+        backward(lambda t: tsum(mul(softmax(t, [[True, True, False]]), [[1.0, 2.0, 3.0]])), x)
+        assert x.grad[0, 2] == 0.0 and not np.signbit(x.grad[0, 2])
 
-    def test_masked_path_equals_scatter_reference(self):
+    def test_kept_sentinel_value_is_kept(self):
+        # a kept logit stays kept whatever its value, the sentinel included
+        got = softmax_np(np.array([[NEG_SENTINEL, NEG_SENTINEL, 0.0]]), np.array([[True, True, False]]))
+        assert np.array_equal(got, [[0.5, 0.5, 0.0]])
+
+    @staticmethod
+    def _keep_cases():
         rng = np.random.default_rng(5)
         # router-shaped: (T, N) logits with the top 4 of 8 kept per row
-        logits = rng.normal(size=(512, 8))
-        keep = np.argsort(-logits, axis=-1)[:, :4]
-        router = np.full_like(logits, NEG_SENTINEL)
-        np.put_along_axis(router, keep, np.take_along_axis(logits, keep, -1), -1)
-        # one live entry per row, at a random column
-        single = np.full((64, 8), NEG_SENTINEL)
-        single[np.arange(64), rng.integers(0, 8, 64)] = rng.normal(size=64)
-        # values near +-700 and 0, with masked entries mixed in
+        router = rng.normal(size=(512, 8))
+        router_keep = np.zeros(router.shape, dtype=bool)
+        np.put_along_axis(router_keep, np.argsort(-router, axis=-1)[:, :4], True, -1)
+        # one kept entry per row, at a random column
+        single = rng.normal(size=(64, 8))
+        single_keep = np.zeros(single.shape, dtype=bool)
+        single_keep[np.arange(64), rng.integers(0, 8, 64)] = True
+        # values near +-700 and 0, with dropped entries mixed in
         edges = np.array(
             [
-                [700.0, -700.0, 0.0, NEG_SENTINEL],
-                [-709.0, -700.0, NEG_SENTINEL, -745.0],
+                [700.0, -700.0, 0.0, 800.0],
+                [-709.0, -700.0, 3.0, -745.0],
                 [709.0, 708.9, 1e-300, -0.0],
-                [0.0, NEG_SENTINEL, NEG_SENTINEL, NEG_SENTINEL],
-                [-1e-300, 5e-324, NEG_SENTINEL, 0.0],
+                [0.0, 710.0, -710.0, 1e300],
+                [-1e-300, 5e-324, 1.0, 0.0],
             ]
         )
-        for x in (router, single, edges, edges[None]):
-            got, want = softmax_np(x, NEG_SENTINEL), reference_softmax_np(x, NEG_SENTINEL)
+        edges_keep = np.array(
+            [
+                [True, True, True, False],
+                [True, True, False, True],
+                [True, True, True, True],
+                [True, False, False, False],
+                [True, True, False, True],
+            ]
+        )
+        return [(router, router_keep), (single, single_keep), (edges, edges_keep), (edges[None], edges_keep[None])]
+
+    def test_masked_path_equals_scatter_reference(self):
+        for x, keep in self._keep_cases():
+            got = softmax_np(x, keep)
+            want = reference_softmax_np(np.where(keep, x, NEG_SENTINEL), NEG_SENTINEL)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
-            assert np.all(got[x == NEG_SENTINEL] == 0.0)
+            assert np.all(got[~keep] == 0.0)
+
+    def test_masked_path_gradient_equals_sentinel_chain(self):
+        for x, keep in self._keep_cases():
+            upstream = np.random.default_rng(x.size).normal(size=x.shape)
+            grads = []
+            for op in (
+                lambda t: softmax(t, keep),
+                lambda t: sentinel_softmax(mask_fill(t, keep, NEG_SENTINEL), NEG_SENTINEL),
+            ):
+                t = Tensor(x, requires_grad=True)
+                backward(lambda t: tsum(mul(op(t), upstream)), t)
+                grads.append(t.grad)
+            assert np.array_equal(grads[0], grads[1])
+            assert np.array_equal(np.signbit(grads[0]), np.signbit(grads[1]))
 
     def test_masked_path_all_masked_row_rejected(self):
-        x = np.array([[1.0, NEG_SENTINEL], [NEG_SENTINEL, NEG_SENTINEL]])
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ContractError, match="every entry masked"):
-            softmax_np(x, NEG_SENTINEL)
+            softmax_np(x, np.array([[True, False], [False, False]]))
 
 
 def _attention_grads(op, q, k, v, n_heads, upstream):
@@ -458,7 +500,6 @@ def random_op_gradient_cases():
         ("sigmoid", lambda t: tsum(mul(sigmoid(t), sigmoid(t)))),
         ("silu", lambda t: tsum(silu(t))),
         ("softmax", lambda t: tsum(mul(softmax(t), softmax(t)))),
-        ("mean", lambda t: mean(mul(t, t))),
         ("rms", lambda t: tsum(rms_norm(t, Tensor(np.linspace(0.5, 1.5, t.shape[-1]))))),
         ("div", lambda t: tsum(div(t, add(mul(t, t), 1.0)))),
         ("slice", lambda t: tsum(mul(slice_cols(t, 0, 1), 2.0))),

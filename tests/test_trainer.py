@@ -53,6 +53,18 @@ def corpus():
     return ingest_text(text)
 
 
+class TestModelConfigValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_heads", 0), ("n_heads", -4), ("n_layers", 0), ("n_layers", -1)],
+    )
+    def test_nonpositive_depth_or_heads_rejected(self, field, value):
+        kw = dict(vocab_size=12, d_h=16, n_layers=1, n_heads=2, d_ff=12, num_experts=4, top_k=2)
+        kw[field] = value
+        with pytest.raises(ContractError, match="n_layers and n_heads must be >= 1"):
+            ModelConfig(**kw)
+
+
 class TestTotalLoss:
     def s(self, v):
         return Tensor(np.asarray(v))
@@ -448,12 +460,13 @@ class TestLastPositionForward:
 class TestAttentionTape:
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_forward_node_count(self, n_layers):
-        # the per-op attention chain recorded 13 more per layer: 37 and 69
+        # the per-op attention chain recorded 13 more per layer (37 and 69),
+        # and the sentinel route (mask_fill before the softmax) 1 more (24 and 43)
         model = drawn_model(RoutingStrategy("beam"), n_layers)
         ids = np.random.default_rng(2).integers(0, 12, (2, 8))
         with Tape() as tape:
             model.forward(ids, training=True)
-        assert len(tape.nodes) == {1: 24, 2: 43}[n_layers]
+        assert len(tape.nodes) == {1: 23, 2: 41}[n_layers]
 
 
 def _slot_matrix(ids, num_experts):

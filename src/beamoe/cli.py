@@ -297,10 +297,17 @@ def _write_rows(path: Path, header: list[str], rows, new: bool) -> None:
 
 
 def cmd_compare(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not seeds:
-        print("error: --seeds names no seed", file=sys.stderr)
-        return 2
+        raise ConfigError("--seeds names no seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds names a seed twice: {args.seeds!r}")
+    labels = [Path(p).stem for p in args.configs]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"configs must have distinct file stems, which label the runs: {labels}")
     resolved_list = [load_config(p) for p in args.configs]
     reference = resolved_list[0]
     for resolved in resolved_list[1:]:
@@ -315,8 +322,7 @@ def cmd_compare(args) -> int:
     # each finished run's rows go to disk before the next run starts, so a
     # later divergence keeps them; the files appear with the first finished run
     first = True
-    for path, resolved in zip(args.configs, resolved_list):
-        label = Path(path).stem
+    for label, resolved in zip(labels, resolved_list):
         for seed in seeds:
             run = json.loads(json.dumps(resolved))
             run["model"]["seed"] = seed

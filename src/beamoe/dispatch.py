@@ -1,8 +1,9 @@
 """Masked expert dispatch: group the surviving (token, slot) pairs by expert
 and execute each expert once over its rows.
 
-The plan is compressed-row: per-expert counts and offsets into one flat
-token order. Block alignment, which a device layout would pad each expert's
+The plan is compressed-row: per-expert offsets into one flat token order,
+built by ``moe.group_slots``, the grouping training's ``moe_block_forward``
+uses too. Block alignment, which a device layout would pad each expert's
 run to, is arithmetic only (``padded_count``); no array is padded, because
 numpy has no tiles for padding to fill.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moe import Expert, expert_forward_np, topk_select
+from .moe import Expert, expert_forward_np, expert_runs, group_slots, topk_select
 from .tensor import ContractError
 
 
@@ -28,50 +29,39 @@ class DispatchPlan:
     """
 
     block_size: int
-    real_counts: np.ndarray
     offsets: np.ndarray
     token_order: np.ndarray
 
     @property
     def num_experts(self) -> int:
-        return len(self.real_counts)
+        return len(self.offsets) - 1
 
     @property
     def total_real(self) -> int:
         return int(self.offsets[-1])
 
     def padded_count(self, expert: int) -> int:
-        return -(-int(self.real_counts[expert]) // self.block_size) * self.block_size
+        count = int(self.offsets[expert + 1] - self.offsets[expert])
+        return -(-count // self.block_size) * self.block_size
 
 
 def align_block(ids: np.ndarray, block_size: int = 16, *, num_experts: int) -> DispatchPlan:
-    """Group the unmasked slots of a (T, K) id array by expert.
+    """Group the unmasked slots of a (T, K) id array by expert (``group_slots``).
 
     -1 marks a masked slot; any other id outside [0, num_experts) is
-    rejected. Within an expert, tokens stay in ascending order so downstream
-    accumulation order is deterministic.
+    rejected, and so is a token naming one expert twice. Within an expert,
+    tokens stay in ascending order so downstream accumulation order is
+    deterministic.
     """
     if block_size < 1:
         raise ContractError("block_size must be >= 1")
     ids = np.asarray(ids, dtype=np.int64)
-    _, k = ids.shape
     if ids.size and (ids.min() < -1 or ids.max() >= num_experts):
         raise ContractError(
             f"expert ids must lie in [-1, {num_experts}); got {ids.min()}..{ids.max()}"
         )
-    flat = ids.reshape(-1)
-    real = np.nonzero(flat >= 0)[0]  # ascending flat index == (token, slot) order
-    experts = flat[real]
-    counts = np.bincount(experts, minlength=num_experts)
-    offsets = np.zeros(num_experts + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    picked = real[np.argsort(experts, kind="stable")]
-    return DispatchPlan(
-        block_size=block_size,
-        real_counts=counts,
-        offsets=offsets,
-        token_order=picked // k,
-    )
+    offsets, token_order = group_slots(ids, num_experts)
+    return DispatchPlan(block_size=block_size, offsets=offsets, token_order=token_order)
 
 
 def grouped_execute(
@@ -90,17 +80,12 @@ def grouped_execute(
     if int(np.count_nonzero(weights_hat)) != plan.total_real:
         raise ContractError("weights_hat nonzero count disagrees with plan slots")
     y = np.zeros_like(h)
-    bounds = plan.offsets.tolist()
-    for e in range(plan.num_experts):
-        lo, hi = bounds[e], bounds[e + 1]
-        if lo == hi:
-            continue
-        rows = plan.token_order[lo:hi]
+    for e, rows in expert_runs(plan.offsets, plan.token_order):
         w = weights_hat[rows, e]
         if np.any(w == 0.0):
             raise ContractError(f"plan routes a zero-weight slot to expert {e}")
         out = expert_forward_np(h[rows], experts[e], activation)
-        # rows are unique within one expert, so fancy-index += is safe
+        # group_slots makes rows unique within one expert, so fancy-index += is safe
         y[rows] += out * w[:, None]
     return y
 
@@ -167,9 +152,7 @@ def bench_dispatch(
         keep = keep_flat.reshape(num_tokens, top_k)
         masked_ids = np.where(keep, base_ids, np.int64(-1))
         weights_hat = np.zeros((num_tokens, num_experts))
-        rows_idx = np.repeat(np.arange(num_tokens), top_k)[keep_flat]
-        cols_idx = base_ids.reshape(-1)[keep_flat]
-        weights_hat[rows_idx, cols_idx] = base_weights.reshape(-1)[keep_flat]
+        np.put_along_axis(weights_hat, base_ids, np.where(keep, base_weights, 0.0), axis=-1)
         plan = align_block(masked_ids, num_experts=num_experts)
 
         timings = []

@@ -25,18 +25,8 @@ from .tensor import (
 )
 
 
-def _identity(x):
-    return x
-
-
-ACTIVATIONS = {"silu": silu, "identity": _identity}
-
-
-def _silu_np(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid_np(x)
-
-
-ACTIVATIONS_NP = {"silu": _silu_np, "identity": lambda x: x}
+ACTIVATIONS = {"silu": silu, "identity": lambda x: x}
+ACTIVATIONS_NP = {"silu": lambda x: x * sigmoid_np(x), "identity": lambda x: x}
 
 
 def _silu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,18 +187,10 @@ class MoEBlock:
 
     def named_tensors(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         out = [(f"{prefix}router_w", self.router_w)]
-        for i, e in enumerate(self.experts):
-            out += [
-                (f"{prefix}experts.{i}.w_gate", e.w_gate),
-                (f"{prefix}experts.{i}.w_up", e.w_up),
-                (f"{prefix}experts.{i}.w_down", e.w_down),
-            ]
-        for i, e in enumerate(self.shared):
-            out += [
-                (f"{prefix}shared.{i}.w_gate", e.w_gate),
-                (f"{prefix}shared.{i}.w_up", e.w_up),
-                (f"{prefix}shared.{i}.w_down", e.w_down),
-            ]
+        names = ("w_gate", "w_up", "w_down")  # the order of Expert.tensors()
+        for group, experts in (("experts", self.experts), ("shared", self.shared)):
+            for i, e in enumerate(experts):
+                out += [(f"{prefix}{group}.{i}.{n}", t) for n, t in zip(names, e.tensors())]
         if self.norm_w is not None:
             out.append((f"{prefix}norm_w", self.norm_w))
         if self.mask_router is not None:
@@ -219,31 +201,61 @@ class MoEBlock:
         return rms_norm(h, self.norm_w) if self.norm_w is not None else h
 
 
+def group_slots(ids: np.ndarray, num_experts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the slots of a (T, C) int64 expert-id array by expert.
+
+    -1 marks no slot; callers check that every other id lies in [0,
+    num_experts). Expert e's tokens are ``token_order[offsets[e]:offsets[e +
+    1]]``, ascending and unique: a token naming one expert twice is rejected.
+    """
+    flat = ids.reshape(-1)
+    real = np.nonzero(flat >= 0)[0]  # ascending flat index == (token, slot) order
+    # the narrowest dtype that holds every id makes the stable sort a radix sort
+    key = flat[real].astype(np.min_scalar_type(num_experts))
+    order = np.argsort(key, kind="stable")
+    experts, token_order = key[order], real[order] // ids.shape[1]
+    offsets = np.zeros(num_experts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(experts, minlength=num_experts), out=offsets[1:])
+    # the stable sort keeps each expert's tokens ascending, so a repeat is adjacent
+    repeat = np.flatnonzero((token_order[1:] == token_order[:-1]) & (experts[1:] == experts[:-1]))
+    if repeat.size:
+        i = repeat[0]
+        raise ContractError(f"token {token_order[i]} names expert {experts[i]} twice")
+    return offsets, token_order
+
+
+def expert_runs(offsets: np.ndarray, token_order: np.ndarray):
+    """(expert, rows) for every expert with a slot, in ascending expert order."""
+    bounds = offsets.tolist()
+    for e in range(len(bounds) - 1):
+        if bounds[e] < bounds[e + 1]:
+            yield e, token_order[bounds[e] : bounds[e + 1]]
+
+
 def grouped_glu(
     x: Tensor,
     weights_hat: Tensor,
-    rows_per_expert: list[np.ndarray],
+    offsets: np.ndarray,
+    token_order: np.ndarray,
     experts: list[Expert],
     activation: str = "silu",
 ) -> Tensor:
     """y[r] = sum_e ghat[r, e] * E_e(x[r]) over each expert's rows, as one
     tape node.
 
-    ``rows_per_expert[e]`` lists expert e's rows, ascending and unique. Each
-    expert runs through ``expert_forward`` with recording suspended, and y
-    accumulates in ascending expert order. The backward is closed form: the
-    weight gradient (g[r] . E_e(x[r])) reaches every listed row, zero-weight
-    rows included (the straight-through mask needs it), while the expert
-    weights and x are differentiated on the rows with a nonzero weight only,
-    the rest contributing exactly zero. Those rows' gate and up projections
-    are recomputed rather than kept from the forward.
+    Expert e's rows, ``token_order[offsets[e]:offsets[e + 1]]`` from
+    ``group_slots``, run through ``expert_forward`` with recording suspended,
+    and y accumulates in ascending expert order. The backward is closed form:
+    the weight gradient (g[r] . E_e(x[r])) reaches every listed row,
+    zero-weight rows included (the straight-through mask needs it), while the
+    expert weights and x are differentiated on the rows with a nonzero weight
+    only, the rest contributing exactly zero. Those rows' gate and up
+    projections are recomputed rather than kept from the forward.
     """
     y = np.zeros(x.shape)
     saved = []  # (expert id, rows, weights, outputs)
     with untaped():
-        for e, rows in enumerate(rows_per_expert):
-            if rows.size == 0:
-                continue
+        for e, rows in expert_runs(offsets, token_order):
             w = weights_hat.data[rows, e]
             o = expert_forward(Tensor._raw(x.data[rows]), experts[e], activation).data
             y[rows] += o * w[:, None]
@@ -317,20 +329,18 @@ def moe_block_forward(
         x_norm = rms_norm(h, norm_weight) if norm_weight is not None else h
 
     if compute_ids is not None:
-        compute_ids = np.asarray(compute_ids, dtype=np.int64)
-        if compute_ids.size and (compute_ids.min() < 0 or compute_ids.max() >= n):
+        slot_ids = np.asarray(compute_ids, dtype=np.int64)
+        if slot_ids.ndim != 2 or slot_ids.shape[0] != t:
+            raise ShapeError("compute_ids must be (tokens, slots)")
+        if slot_ids.size and (slot_ids.min() < 0 or slot_ids.max() >= n):
             raise ContractError("compute_ids must lie in [0, num_experts)")
-        planned = np.zeros((t, n), dtype=bool)
-        planned[np.arange(t)[:, None], compute_ids] = True
     else:
-        planned = weights_hat.data != 0.0
-    # (N, T) row-major nonzero: rows grouped by expert, ascending within each
-    expert_of, rows = np.nonzero(planned.T)
-    bounds = np.searchsorted(expert_of, np.arange(1, n))
+        slot_ids = np.where(weights_hat.data != 0.0, np.arange(n), np.int64(-1))
+    offsets, token_order = group_slots(slot_ids, n)
 
     y: Tensor | None = None
-    if rows.size:
-        y = grouped_glu(x_norm, weights_hat, np.split(rows, bounds), experts, activation)
+    if token_order.size:
+        y = grouped_glu(x_norm, weights_hat, offsets, token_order, experts, activation)
     for e in shared_experts:
         so = expert_forward(x_norm, e, activation)
         y = so if y is None else add(y, so)

@@ -661,7 +661,6 @@ def evaluate(
     total_tokens = 0
     active_sum = 0.0
     active_cells = 0
-    from .tensor import cross_entropy as ce
 
     for start in range(0, n_windows, batch_size):
         count = min(batch_size, n_windows - start)
@@ -671,7 +670,7 @@ def evaluate(
         )
         logits, routes = model.forward(xs, training=False, binarize_soft=binarize_soft)
         b, tt, v = logits.shape
-        nll = float(ce(reshape(logits, (b * tt, v)), ys.reshape(-1)).data)
+        nll = float(cross_entropy(reshape(logits, (b * tt, v)), ys.reshape(-1)).data)
         total_nll += nll * b * tt
         total_tokens += b * tt
         for rr in routes:

@@ -43,6 +43,9 @@
   bit for bit, gradients included.
 - ``check_gradient``, the central-difference check of tape gradients
   (criterion 3's oracle).
+- ``reference_group_slots``, the (T, N) boolean scatter split at the expert
+  boundaries of ``np.nonzero(planned.T)``, which training used to group its
+  slots by expert: ``moe.group_slots`` must give the same rows per expert.
 """
 
 import csv
@@ -75,6 +78,19 @@ from beamoe.tensor import (
     slice_cols,
 )
 from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
+
+
+def reference_group_slots(ids: np.ndarray, num_experts: int) -> list[np.ndarray]:
+    """Each expert's rows of a (T, C) id array (-1 is no slot), ascending.
+    A token naming one expert twice is merged silently."""
+    t = ids.shape[0]
+    tokens, slots = np.nonzero(ids >= 0)
+    planned = np.zeros((t, num_experts), dtype=bool)
+    planned[tokens, ids[tokens, slots]] = True
+    # (N, T) row-major nonzero: rows grouped by expert, ascending within each
+    expert_of, rows = np.nonzero(planned.T)
+    bounds = np.searchsorted(expert_of, np.arange(1, num_experts))
+    return np.split(rows, bounds)
 
 
 def scatter_rows(values: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:

@@ -420,6 +420,28 @@ class TestCompareCommand:
         assert main(["compare", str(cfg), "--seeds", ",", "--out", str(tmp_path / "c")]) == 2
         assert not (tmp_path / "c").exists()
 
+    def test_non_integer_seed_exit_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path)
+        assert main(["compare", str(cfg), "--seeds", "a", "--out", str(tmp_path / "c")]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_repeated_seed_exit_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path)
+        assert main(["compare", str(cfg), "--seeds", "0,0", "--out", str(tmp_path / "c")]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_configs_sharing_a_file_stem_exit_2(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        cfg_a, _ = write_config(tmp_path / "a", name="beam.json")
+        cfg_b, _ = write_config(tmp_path / "b", name="beam.json")
+        code = main(["compare", str(cfg_a), str(cfg_b), "--seeds", "0", "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "configs" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_mismatched_shapes_exit_2(self, tmp_path):
         cfg_a, _ = write_config(tmp_path, name="a.json")
         cfg_b, _ = write_config(tmp_path, name="b.json", model={"d_h": 32})

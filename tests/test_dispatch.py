@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from beamoe import dispatch, moe
+from beamoe.baselines import RoutingStrategy, block_forward, build_block
 from beamoe.dispatch import align_block, bench_dispatch, grouped_execute, naive_execute
-from beamoe.moe import Expert
-from beamoe.tensor import ContractError
+from beamoe.moe import Expert, MoEBlockConfig, moe_block_forward
+from beamoe.tensor import ContractError, Tape, Tensor
 
 
 def random_scenario(rng, t=16, n=8, k=4, d_h=6, d_ff=5, mask_prob=0.4):
@@ -21,6 +23,12 @@ def random_scenario(rng, t=16, n=8, k=4, d_h=6, d_ff=5, mask_prob=0.4):
     return h, ids, masked_ids, weights, experts
 
 
+def random_slot_ids(rng, t, k, n):
+    """(t, k) expert ids, distinct within each token, about a fifth of them -1."""
+    ids = np.argsort(rng.random((t, n)), axis=-1)[:, :k]
+    return np.where(rng.random((t, k)) < 0.2, np.int64(-1), ids)
+
+
 class TestAlignBlock:
     def test_all_masked_empty_plan(self):
         plan = align_block(np.full((5, 3), -1), 16, num_experts=4)
@@ -32,34 +40,34 @@ class TestAlignBlock:
         ids = np.array([[0, 1], [1, -1]])
         plan = align_block(ids, 2, num_experts=2)
         assert plan.num_experts == 2
-        assert plan.real_counts.tolist() == [1, 2]
         assert plan.offsets.tolist() == [0, 1, 3]
         assert plan.padded_count(0) == 2 and plan.padded_count(1) == 2
         assert plan.token_order.tolist() == [0, 0, 1]
 
     def test_block_size_one_no_padding(self):
         rng = np.random.default_rng(2)
-        ids = rng.integers(-1, 4, (12, 3)).astype(np.int64)
+        ids = random_slot_ids(rng, 12, 3, 4)
         plan = align_block(ids, 1, num_experts=4)
         for e in range(4):
-            assert plan.padded_count(e) == plan.real_counts[e]
+            assert plan.padded_count(e) == plan.offsets[e + 1] - plan.offsets[e]
 
     def test_padded_length_formula(self):
         rng = np.random.default_rng(3)
         for bs in (1, 2, 16, 64):
-            ids = rng.integers(-1, 6, (40, 4)).astype(np.int64)
+            ids = random_slot_ids(rng, 40, 4, 6)
             plan = align_block(ids, bs, num_experts=6)
             for e in range(6):
-                c = plan.real_counts[e]
+                c = plan.offsets[e + 1] - plan.offsets[e]
                 assert plan.padded_count(e) == -(-c // bs) * bs
 
     def test_slot_conservation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            ids = rng.integers(-1, 8, (rng.integers(1, 50), rng.integers(1, 5))).astype(np.int64)
+            ids = random_slot_ids(rng, rng.integers(1, 50), rng.integers(1, 5), 8)
             plan = align_block(ids, 16, num_experts=8)
             assert plan.total_real == int((ids >= 0).sum())
-            assert plan.offsets.tolist() == [0] + np.cumsum(plan.real_counts).tolist()
+            counts = np.bincount(ids[ids >= 0], minlength=8)
+            assert plan.offsets.tolist() == [0] + np.cumsum(counts).tolist()
             # every real slot's (token, expert) pair appears exactly once
             # across experts, in ascending token order within its expert
             pairs = []
@@ -170,3 +178,77 @@ class TestBench:
             active_fractions=[1.0, 0.25], repetitions=5, seed=0,
         )
         assert rows[1].wall_time_ns_min < rows[0].wall_time_ns_min
+
+
+class TestOneGrouping:
+    """Training's ``moe_block_forward`` and inference's ``align_block`` group
+    their slots through the one ``moe.group_slots``."""
+
+    @staticmethod
+    def _beam_block(seed):
+        rng = np.random.default_rng(seed)
+        cfg = MoEBlockConfig(d_h=8, d_ff=6, num_experts=6, top_k=3)
+        strategy = RoutingStrategy("beam")
+        block = build_block(cfg, strategy, rng)
+        w = block.mask_router.weight
+        w.data[...] = rng.normal(0.0, 0.8, w.shape)  # so the mask closes slots
+        return block, strategy, Tensor(rng.normal(size=(12, 8)), requires_grad=True)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        real = moe.group_slots
+
+        def spy(ids, num_experts):
+            out = real(ids, num_experts)
+            calls.append((ids.copy(), num_experts, out))
+            return out
+
+        monkeypatch.setattr(moe, "group_slots", spy)
+        monkeypatch.setattr(dispatch, "group_slots", spy)
+        return calls
+
+    def test_each_block_forward_groups_once(self, monkeypatch):
+        block, strategy, h = self._beam_block(0)
+        calls = self._spy(monkeypatch)
+        aligned = []
+        real_align = dispatch.align_block
+
+        def align_spy(*args, **kwargs):
+            aligned.append(args)
+            return real_align(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "align_block", align_spy)
+        with Tape():
+            _, rr = block_forward(h, block, strategy, training=True)
+        assert len(calls) == 1 and not aligned
+        assert np.array_equal(calls[0][0], rr.candidate_ids)
+        calls.clear()
+        _, rr = block_forward(h, block, strategy, training=False)
+        assert len(calls) == 1 and len(aligned) == 1
+        assert np.array_equal(calls[0][0], rr.kept_ids)
+
+    def test_training_plan_equals_align_block_plan(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        for seed in range(4):
+            block, strategy, h = self._beam_block(seed)
+            calls.clear()
+            with Tape():
+                block_forward(h, block, strategy, training=True)
+            (ids, n, (offsets, token_order)), = calls
+            plan = align_block(ids, 16, num_experts=n)
+            assert np.array_equal(plan.offsets, offsets)
+            assert np.array_equal(plan.token_order, token_order)
+
+    def test_repeated_expert_rejected_alike_in_training_and_inference(self):
+        rng = np.random.default_rng(11)
+        experts = [Expert.init_random(4, 3, rng) for _ in range(3)]
+        ids = np.array([[0, 2], [1, 1], [2, 0]])
+        weights = np.zeros((3, 3))
+        np.put_along_axis(weights, ids, 0.5, axis=-1)
+        h = Tensor(rng.normal(size=(3, 4)))
+        with pytest.raises(ContractError) as in_inference:
+            align_block(ids, 16, num_experts=3)
+        with pytest.raises(ContractError) as in_training:
+            moe_block_forward(h, Tensor(weights), experts, compute_ids=ids)
+        assert str(in_inference.value) == str(in_training.value) == "token 1 names expert 1 twice"

@@ -8,12 +8,14 @@ from beamoe.moe import (
     balance_loss_from,
     expert_forward,
     expert_forward_np,
+    group_slots,
     moe_block_forward,
     topk_route,
     topk_select,
 )
 from beamoe.tensor import (
     ContractError,
+    ShapeError,
     Tape,
     Tensor,
     add,
@@ -28,6 +30,7 @@ from reference_ops import (
     check_gradient,
     gather_rc,
     load_balance_loss,
+    reference_group_slots,
     reference_topk_route,
     scatter_rows,
 )
@@ -413,6 +416,12 @@ class TestGroupedGluOracle:
         if use_compute_ids:
             assert np.all(experts[3].w_up.grad == 0.0)
 
+    def test_compute_ids_of_another_token_count_rejected(self):
+        h, norm_w, weights_hat, experts, _, compute_ids, _ = self._case(20, 0)
+        for bad in (compute_ids[:1], compute_ids[:-1], compute_ids[0]):
+            with pytest.raises(ShapeError):
+                moe_block_forward(h, weights_hat, experts, compute_ids=bad)
+
     def test_out_of_range_compute_ids_rejected(self):
         h, norm_w, weights_hat, experts, _, compute_ids, _ = self._case(20, 0)
         for bad in (-1, self.N):
@@ -420,3 +429,46 @@ class TestGroupedGluOracle:
             ids[2, 0] = bad
             with pytest.raises(ContractError):
                 moe_block_forward(h, weights_hat, experts, compute_ids=ids)
+
+
+def _runs(offsets, token_order):
+    return [token_order[lo:hi].tolist() for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+class TestGroupSlots:
+    """``group_slots`` against hand cases and the boolean-scatter grouping
+    training used before (``reference_group_slots``)."""
+
+    def test_empty_input(self):
+        for ids in (np.zeros((0, 3), dtype=np.int64), np.zeros((4, 0), dtype=np.int64)):
+            offsets, token_order = group_slots(ids, 3)
+            assert offsets.tolist() == [0, 0, 0, 0]
+            assert token_order.size == 0 and token_order.dtype == np.int64
+
+    def test_all_no_slot(self):
+        offsets, token_order = group_slots(np.full((5, 2), -1, dtype=np.int64), 4)
+        assert offsets.tolist() == [0] * 5 and token_order.size == 0
+
+    def test_no_slot_mixed_with_real_slots(self):
+        ids = np.array([[2, -1, 0], [-1, -1, -1], [0, 2, -1], [-1, 1, 2]])
+        offsets, token_order = group_slots(ids, 4)
+        assert offsets.tolist() == [0, 2, 3, 6, 6]
+        assert _runs(offsets, token_order) == [[0, 2], [3], [0, 2, 3], []]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scatter_grouping_ascending_and_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        t, n = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        c = int(rng.integers(1, n + 1))
+        ids = np.argsort(rng.random((t, n)), axis=-1)[:, :c]
+        ids = np.where(rng.random((t, c)) < rng.uniform(0.0, 1.0), np.int64(-1), ids)
+        offsets, token_order = group_slots(ids, n)
+        runs = _runs(offsets, token_order)
+        assert runs == [rows.tolist() for rows in reference_group_slots(ids, n)]
+        for rows in runs:
+            assert rows == sorted(set(rows))
+        assert offsets[-1] == int((ids >= 0).sum())
+
+    def test_token_naming_one_expert_twice_rejected(self):
+        with pytest.raises(ContractError, match="token 1 names expert 2 twice"):
+            group_slots(np.array([[0, 2, -1], [2, -1, 2]]), 3)

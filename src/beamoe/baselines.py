@@ -7,10 +7,15 @@ per-expert weight matrix, the router logits, the balance sets, one slot set
 (candidate ids plus an active bit per candidate) and the raw mask of masked
 strategies. Active counts, kept ids and the sparsity-loss candidate set are
 derived from the slot set, never stored.
+
+Every strategy starts from one ``topk_route`` call. ``moe_dynamic`` asks it
+for all N experts as candidates, then renormalizes over its top-p set with
+the kept-set softmax, which is also its balance set and its active bits.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,18 +28,8 @@ from .moe import (
     expert_forward_np,
     moe_block_forward,
     topk_route,
-    topk_select,
 )
-from .tensor import (
-    ContractError,
-    Tensor,
-    div,
-    matmul,
-    mul,
-    slice_cols,
-    softmax,
-    tsum,
-)
+from .tensor import ContractError, Tensor, mul, slice_cols, softmax
 
 KINDS = (
     "vanilla_topk",
@@ -48,6 +43,7 @@ KINDS = (
 )
 
 _MASKED_KINDS = {"beam", "soft_mask", "soft_mask_tempered"}
+_INT_PARAMS = {"k_small", "k_infer", "null_count"}  # the others are real numbers
 
 
 @dataclass
@@ -72,6 +68,12 @@ class RoutingStrategy:
         unknown = set(p) - known
         if unknown:
             raise ContractError(f"{self.kind}: unknown params {sorted(unknown)}")
+        for name, value in p.items():
+            # bool is an int subclass: True would pass as a count of 1
+            want = numbers.Integral if name in _INT_PARAMS else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, want):
+                noun = "an integer" if want is numbers.Integral else "a real number"
+                raise ContractError(f"{self.kind}: {name} must be {noun}, got {value!r}")
         if self.kind == "topk_reduced":
             k_small = p.get("k_small", cfg.top_k)
             if not 1 <= k_small <= cfg.num_experts:
@@ -91,7 +93,7 @@ class RoutingStrategy:
             tau = p.get("tau", 0.5)
             if not 0.0 < tau < 1.0:
                 raise ContractError("tau must lie in (0, 1)")
-        if self.kind == "soft_mask_tempered" and p.get("temp_floor", 0.1) <= 0:
+        if self.kind == "soft_mask_tempered" and not p.get("temp_floor", 0.1) > 0:
             raise ContractError("temp_floor must be positive")
 
     @property
@@ -127,7 +129,7 @@ class RouteResult:
     weights_hat: Tensor  # (T, N) final expert weights
     logits: Tensor  # router logits, (T, N) or (T, N + nulls)
     balance_active: np.ndarray  # bool, same width as logits
-    candidate_ids: np.ndarray  # (T, K), (T, N) for moe_dynamic; -1 marks a null slot
+    candidate_ids: np.ndarray  # (T, K), or (T, N) for moe_dynamic; -1 marks a null slot
     active_bits: np.ndarray  # same shape, 0/1 per candidate slot
     raw_mask: Tensor | None = None  # sigmoid mask values, masked strategies only
 
@@ -184,35 +186,28 @@ def route(
     kind = strategy.kind
     p = strategy.params
 
-    if kind == "moe_dynamic":
-        logits = matmul(x_norm, block.router_w)
-        probs = softmax(logits)
-        active = dynamic_select(probs.data, p.get("phi", 0.5))
-        masked = mul(probs, Tensor._raw(active.astype(np.float64)))
-        # every expert is a candidate, in descending-probability order: the
-        # top-p set can hold more than K experts, and inference must run
-        # (and the trace record) all of them, as training does
-        order = topk_select(probs.data, n)
-        return RouteResult(
-            weights_hat=div(masked, tsum(masked, axis=-1, keepdims=True)),
-            logits=logits,
-            balance_active=active,
-            candidate_ids=order,
-            active_bits=np.take_along_axis(active, order, axis=-1).astype(np.int64),
-        )
-
     k = block.cfg.top_k
     if kind == "topk_reduced":
         k = p.get("k_small", k)
     elif kind == "topk_pruning" and not training:
         k = p.get("k_infer", k)
+    elif kind == "moe_dynamic":
+        # every expert is a candidate, in descending-logit order (ties to the
+        # lower index): the top-p set can hold more than K experts, and
+        # inference must run (and the trace record) all of them, as training does
+        k = n
     dec = topk_route(x_norm, block.router_w, k)  # ada_moe: over N + null columns
     ids = dec.topk_indices
     weights_hat = dec.weights
+    balance_active = dec.keep
     bits = np.ones(ids.shape, dtype=np.int64)
     raw_mask = None
 
-    if kind == "ada_moe":
+    if kind == "moe_dynamic":
+        balance_active = dynamic_select(dec.weights.data, p.get("phi", 0.5))
+        weights_hat = softmax(dec.logits, balance_active)
+        bits = np.take_along_axis(balance_active, ids, axis=-1).astype(np.int64)
+    elif kind == "ada_moe":
         real = ids < n
         weights_hat = slice_cols(weights_hat, 0, n)
         ids = np.where(real, ids, np.int64(-1))
@@ -236,7 +231,7 @@ def route(
     return RouteResult(
         weights_hat=weights_hat,
         logits=dec.logits,
-        balance_active=dec.keep,
+        balance_active=balance_active,
         candidate_ids=ids,
         active_bits=bits,
         raw_mask=raw_mask,

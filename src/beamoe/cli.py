@@ -259,7 +259,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench_dispatch(args) -> int:
-    fractions = [float(x) for x in args.active_fractions.split(",") if x]
+    try:
+        fractions = [float(x) for x in args.active_fractions.split(",") if x]
+    except ValueError:
+        raise ConfigError(
+            f"--active-fractions must be comma-separated numbers, got {args.active_fractions!r}"
+        ) from None
     rows = dispatch.bench_dispatch(
         num_tokens=args.tokens,
         num_experts=args.experts,

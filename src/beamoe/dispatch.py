@@ -135,6 +135,12 @@ def bench_dispatch(
     the target within rounding. Plans are built outside the timed region;
     the minimum over repetitions is the noise-robust statistic.
     """
+    if not 1 <= top_k <= num_experts:
+        raise ContractError(f"top_k must lie in [1, num_experts], got {top_k} of {num_experts}")
+    if repetitions < 1:
+        raise ContractError(f"repetitions must be >= 1, got {repetitions}")
+    if not active_fractions:
+        raise ContractError("active_fractions names no fraction")
     for f in active_fractions:
         if not 0.0 < f <= 1.0:
             raise ContractError(f"active fraction {f} outside (0, 1]")

@@ -222,19 +222,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor._raw(a.data / b.data, a.requires_grad or b.requires_grad)
-    a_data, b_data = a.data, b.data
-
-    def rule(g, flow):
-        _send(flow, a, _unbroadcast(g / b_data, a_data.shape), owned=True)
-        _send(flow, b, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape), owned=True)
-
-    _record(out, rule)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and reductions
 # ---------------------------------------------------------------------------
@@ -262,17 +249,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor._raw(x.data.sum(axis=axis, keepdims=keepdims), x.requires_grad)
+    out = Tensor._raw(x.data.sum(axis=axis), x.requires_grad)
     shape = x.data.shape
 
     def rule(g, flow):
-        if axis is None:
-            _send(flow, x, np.broadcast_to(g, shape).copy(), owned=True)
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _send(flow, x, np.broadcast_to(gg, shape).copy(), owned=True)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _send(flow, x, np.broadcast_to(g, shape).copy(), owned=True)
 
     _record(out, rule)
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -109,13 +109,10 @@ class TrainConfig:
         return self.learning_rate * (1.0 - (step - warmup) / remaining)
 
 
-TRACE_HEADER = (
-    "step,lm_loss,bal_loss,reg_loss,total_loss,expert_active_rate,learning_rate,grad_norm"
-)
-
-
 @dataclass
 class TraceRow:
+    """One training step; the fields, in order, are the trace's columns."""
+
     step: int
     lm_loss: float
     bal_loss: float
@@ -126,11 +123,10 @@ class TraceRow:
     grad_norm: float  # global gradient norm before clipping
 
     def to_csv(self) -> str:
-        return (
-            f"{self.step},{self.lm_loss!r},{self.bal_loss!r},{self.reg_loss!r},"
-            f"{self.total_loss!r},{self.expert_active_rate!r},{self.learning_rate!r},"
-            f"{self.grad_norm!r}"
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+
+
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
 
 
 def write_trace(rows: list[TraceRow], path) -> None:

@@ -46,6 +46,15 @@
 - ``reference_group_slots``, the (T, N) boolean scatter split at the expert
   boundaries of ``np.nonzero(planned.T)``, which training used to group its
   slots by expert: ``moe.group_slots`` must give the same rows per expert.
+- ``reference_write_trace``, the training-trace writer whose header and
+  row format listed the eight columns by hand: ``trainer.write_trace``,
+  which derives both from the ``TraceRow`` fields, must write the same bytes.
+- ``reference_dynamic_route``, ``moe_dynamic``'s own early-return route:
+  the router matmul, the full softmax, ``mul`` by the top-p set, and the
+  ``row_sum`` and ``div`` tape ops that renormalized it, with candidates in
+  descending-probability order. ``baselines.route``, which asks
+  ``topk_route`` for every expert and renormalizes with the kept-set
+  softmax, must agree with it within two ulps of 1.
 """
 
 import csv
@@ -56,7 +65,13 @@ import zlib
 import numpy as np
 
 from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER, SparsityTrace
-from beamoe.baselines import RouteResult, RoutingStrategy, block_forward, temperature_at
+from beamoe.baselines import (
+    RouteResult,
+    RoutingStrategy,
+    block_forward,
+    dynamic_select,
+    temperature_at,
+)
 from beamoe.beam import MaskDecision, mask_forward
 from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route, topk_select
 from beamoe.tensor import (
@@ -68,6 +83,7 @@ from beamoe.tensor import (
     _as_tensor,
     _record,
     _send,
+    _unbroadcast,
     add,
     binarize_ste,
     matmul,
@@ -76,6 +92,7 @@ from beamoe.tensor import (
     sigmoid,
     sigmoid_np,
     slice_cols,
+    softmax,
 )
 from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
 
@@ -603,3 +620,62 @@ def check_gradient(
             err = abs(ana.reshape(-1)[c] - fd) / (abs(fd) + 1e-8)
             worst = max(worst, err)
     return worst
+
+
+def div(a, b) -> Tensor:
+    """Elementwise a / b as a tape op."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = Tensor._raw(a.data / b.data, a.requires_grad or b.requires_grad)
+    a_data, b_data = a.data, b.data
+
+    def rule(g, flow):
+        _send(flow, a, _unbroadcast(g / b_data, a_data.shape), owned=True)
+        _send(flow, b, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape), owned=True)
+
+    _record(out, rule)
+    return out
+
+
+def row_sum(x: Tensor) -> Tensor:
+    """Sum over the last axis, kept as a length-1 axis: ``tsum``'s former
+    ``keepdims=True``."""
+    x = _as_tensor(x)
+    out = Tensor._raw(x.data.sum(axis=-1, keepdims=True), x.requires_grad)
+    shape = x.data.shape
+
+    def rule(g, flow):
+        _send(flow, x, np.broadcast_to(g, shape).copy(), owned=True)
+
+    _record(out, rule)
+    return out
+
+
+def reference_dynamic_route(block, x_norm, strategy, training, *args, **kwargs) -> RouteResult:
+    """``baselines.route`` for ``moe_dynamic`` as its own chain: the full
+    softmax, zeroed outside the top-p set by ``mul``, divided by its row sum.
+    Every expert is a candidate, in descending-probability order."""
+    logits = matmul(x_norm, block.router_w)
+    probs = softmax(logits)
+    active = dynamic_select(probs.data, strategy.params.get("phi", 0.5))
+    masked = mul(probs, Tensor._raw(active.astype(np.float64)))
+    order = topk_select(probs.data, block.cfg.num_experts)
+    return RouteResult(
+        weights_hat=div(masked, row_sum(masked)),
+        logits=logits,
+        balance_active=active,
+        candidate_ids=order,
+        active_bits=np.take_along_axis(active, order, axis=-1).astype(np.int64),
+    )
+
+
+def reference_write_trace(rows, path) -> None:
+    with open(path, "w") as f:
+        f.write(
+            "step,lm_loss,bal_loss,reg_loss,total_loss,expert_active_rate,learning_rate,grad_norm\n"
+        )
+        for r in rows:
+            f.write(
+                f"{r.step},{r.lm_loss!r},{r.bal_loss!r},{r.reg_loss!r},"
+                f"{r.total_loss!r},{r.expert_active_rate!r},{r.learning_rate!r},"
+                f"{r.grad_norm!r}\n"
+            )

@@ -13,7 +13,7 @@ from beamoe.baselines import (
 from beamoe.moe import MoEBlockConfig, balance_loss_from, topk_route
 from beamoe.tensor import ContractError, Tape, Tensor, mul, tsum
 
-from reference_ops import reference_masked_route
+from reference_ops import reference_dynamic_route, reference_masked_route
 
 
 def cfg(n=6, k=3, d_h=5, d_ff=4, **kw):
@@ -48,6 +48,34 @@ class TestStrategyValidation:
     def test_unknown_param(self):
         with pytest.raises(ContractError):
             RoutingStrategy("beam", {"phi": 0.4}).validate(cfg())
+
+    # each value is in range but of the wrong type: a float or bool count,
+    # a string or bool real
+    @pytest.mark.parametrize(
+        "kind,name,bad",
+        [
+            ("topk_reduced", "k_small", [2.0, True, "2"]),
+            ("topk_pruning", "k_infer", [2.0, True, None]),
+            ("ada_moe", "null_count", [2.0, True, "2"]),
+            ("beam", "tau", ["0.5", True, None]),
+            ("moe_dynamic", "phi", ["0.5", True, [0.5]]),
+            ("soft_mask_tempered", "temp_floor", ["0.1", True, None]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_param_type_rejected(self, kind, name, bad):
+        for value in bad:
+            with pytest.raises(ContractError, match=name):
+                RoutingStrategy(kind, {name: value}).validate(cfg())
+
+    def test_numpy_scalars_accepted(self):
+        RoutingStrategy("topk_reduced", {"k_small": np.int64(2)}).validate(cfg())
+        RoutingStrategy("beam", {"tau": np.float64(0.4)}).validate(cfg())
+        RoutingStrategy("moe_dynamic", {"phi": 1}).validate(cfg())
+
+    def test_nan_temp_floor_rejected(self):
+        with pytest.raises(ContractError):
+            RoutingStrategy("soft_mask_tempered", {"temp_floor": float("nan")}).validate(cfg())
 
 
 class TestTopkReduced:
@@ -379,21 +407,20 @@ class TestOneMaskStage:
         assert calls == []
 
 
+ROUTE_STRATEGIES = [
+    RoutingStrategy("vanilla_topk"),
+    RoutingStrategy("topk_reduced", {"k_small": 2}),
+    RoutingStrategy("topk_pruning", {"k_infer": 2}),
+    RoutingStrategy("moe_dynamic", {"phi": 0.6}),
+    RoutingStrategy("ada_moe", {"null_count": 4}),
+    RoutingStrategy("beam"),
+    RoutingStrategy("soft_mask"),
+    RoutingStrategy("soft_mask_tempered"),
+]
+
+
 class TestUniversalInvariants:
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            RoutingStrategy("vanilla_topk"),
-            RoutingStrategy("topk_reduced", {"k_small": 2}),
-            RoutingStrategy("topk_pruning", {"k_infer": 2}),
-            RoutingStrategy("moe_dynamic", {"phi": 0.6}),
-            RoutingStrategy("ada_moe", {"null_count": 4}),
-            RoutingStrategy("beam"),
-            RoutingStrategy("soft_mask"),
-            RoutingStrategy("soft_mask_tempered"),
-        ],
-        ids=lambda s: s.kind,
-    )
+    @pytest.mark.parametrize("strategy", ROUTE_STRATEGIES, ids=lambda s: s.kind)
     @pytest.mark.parametrize("training", [True, False])
     def test_weights_non_negative_with_bounded_support(self, strategy, training):
         block, rng = block_for(strategy, seed=11)
@@ -406,3 +433,80 @@ class TestUniversalInvariants:
         if strategy.kind != "moe_dynamic":
             assert np.all((w > 0).sum(axis=-1) <= block.cfg.top_k)
         assert rr.active_counts.shape == (20,)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _dynamic_block(seed, phi):
+    """A ``moe_dynamic`` block whose router spreads the probabilities, so the
+    top-p sets vary in size from token to token."""
+    s = RoutingStrategy("moe_dynamic", {"phi": phi})
+    block, rng = block_for(s, seed=seed)
+    block.router_w.data[...] = rng.normal(0, 1.0, block.router_w.shape)
+    return s, block, rng
+
+
+class TestOneRoutingPath:
+    """Every kind routes through one ``topk_route`` call. ``moe_dynamic``
+    asks it for all N experts and renormalizes with the kept-set softmax;
+    it agrees with its former ``div`` chain, ``reference_dynamic_route``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("phi", [0.2, 0.5, 0.8, 1.0])
+    def test_moe_dynamic_matches_div_chain(self, seed, phi):
+        s, block, rng = _dynamic_block(seed, phi)
+        x = Tensor(rng.normal(size=(64, 5)))
+        got = route(block, x, s, training=True)
+        want = reference_dynamic_route(block, x, s, training=True)
+        # two ulps of 1, 4.4e-16
+        assert np.max(np.abs(got.weights_hat.data - want.weights_hat.data)) <= 2 * EPS
+        assert np.array_equal(got.logits.data, want.logits.data)
+        for name in ("candidate_ids", "active_bits", "balance_active"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if 0.2 < phi < 1.0:  # the comparison covers sets of several sizes
+            assert len(np.unique(got.active_counts)) > 1
+
+    @pytest.mark.parametrize("phi", [0.4, 0.6, 0.8])
+    def test_inactive_experts_get_zero_weight_and_plus_zero_gradient(self, phi):
+        s, block, rng = _dynamic_block(4, phi)
+        x = Tensor(rng.normal(size=(64, 5)))
+        upstream = Tensor(rng.normal(size=(64, 6)))
+        with Tape() as tape:
+            rr = route(block, x, s, training=True)
+            tape.backward(tsum(mul(rr.weights_hat, upstream)))
+        off = ~rr.balance_active
+        assert off.any()
+        for values in (rr.weights_hat.data[off], rr.logits.grad[off]):
+            assert np.all(values == 0.0)
+            assert not np.signbit(values).any()
+        assert rr.logits.grad[~off].any()
+
+    @pytest.mark.parametrize("strategy", ROUTE_STRATEGIES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_route_calls_topk_route_once(self, strategy, training, monkeypatch):
+        calls = []
+        real = baselines.topk_route
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "topk_route", spy)
+        block, rng = block_for(strategy, seed=3)
+        block_forward(Tensor(rng.normal(size=(6, 5))), block, strategy, training)
+        assert len(calls) == 1
+
+    def test_moe_dynamic_block_records_two_fewer_tape_nodes(self, monkeypatch):
+        s, block, rng = _dynamic_block(5, 0.5)
+        h = Tensor(rng.normal(size=(16, 5)), requires_grad=True)
+
+        def nodes():
+            with Tape() as tape:
+                block_forward(h, block, s, training=True)
+            return len(tape.nodes)
+
+        got = nodes()
+        monkeypatch.setattr(baselines, "route", reference_dynamic_route)
+        assert got == nodes() - 2

@@ -88,6 +88,22 @@ class TestConfigValidation:
         path, _ = write_config(tmp_path, strategy={"kind": "nope", "params": {}})
         assert main(["train", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            {"kind": "topk_reduced", "params": {"k_small": 2.0}},
+            {"kind": "topk_reduced", "params": {"k_small": True}},
+            {"kind": "beam", "params": {"tau": "0.5"}},
+        ],
+        ids=["float-count", "bool-count", "string-real"],
+    )
+    def test_mistyped_strategy_param_exits_2(self, tmp_path, capsys, strategy):
+        path, cfg = write_config(tmp_path, strategy=strategy)
+        assert main(["train", str(path)]) == 2
+        (name,) = strategy["params"]
+        assert f"{name} must be" in capsys.readouterr().err
+        assert not (Path(cfg["output_dir"]) / "checkpoint.bin").exists()
+
     @pytest.mark.parametrize("field", ["n_heads", "n_layers"])
     def test_zero_heads_or_layers_exit_2(self, tmp_path, capsys, field):
         path, _ = write_config(tmp_path, model={field: 0})
@@ -366,6 +382,27 @@ class TestBenchCommand:
     def test_invalid_fraction_named_in_error(self, capsys):
         assert main(["bench-dispatch", "--active-fractions", "0.5,0"]) == 2
         assert "active fraction 0.0 outside (0, 1]" in capsys.readouterr().err
+
+    # each malformed option exits 2 and names what is wrong with it
+    SMALL = ["--tokens", "8", "--experts", "4", "--d-h", "4", "--d-ff", "4"]
+
+    def test_non_numeric_fraction_exits_2(self, capsys):
+        assert main(["bench-dispatch", "--active-fractions", "a"] + self.SMALL) == 2
+        assert "--active-fractions must be comma-separated numbers, got 'a'" in capsys.readouterr().err
+
+    def test_empty_fraction_list_exits_2(self, capsys):
+        assert main(["bench-dispatch", "--active-fractions", ""] + self.SMALL) == 2
+        captured = capsys.readouterr()
+        assert "active_fractions names no fraction" in captured.err
+        assert captured.out == ""
+
+    def test_zero_reps_exits_2(self, capsys):
+        assert main(["bench-dispatch", "--reps", "0"] + self.SMALL) == 2
+        assert "repetitions must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_top_k_above_experts_exits_2(self, capsys):
+        assert main(["bench-dispatch", "--top-k", "9"] + self.SMALL) == 2
+        assert "top_k must lie in [1, num_experts], got 9 of 4" in capsys.readouterr().err
 
 
 class TestCompareCommand:

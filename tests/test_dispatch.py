@@ -171,6 +171,28 @@ class TestBench:
         with pytest.raises(ContractError):
             bench_dispatch(8, 4, 2, 4, 4, active_fractions=[0.0], repetitions=1)
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"repetitions": 0}, "repetitions must be >= 1"),
+            ({"active_fractions": []}, "active_fractions names no fraction"),
+            ({"top_k": 5}, r"top_k must lie in \[1, num_experts\]"),
+            ({"top_k": 0}, r"top_k must lie in \[1, num_experts\]"),
+        ],
+        ids=["reps", "no-fraction", "top_k-above-N", "top_k-zero"],
+    )
+    def test_bad_range_rejected_before_building(self, override, message, monkeypatch):
+        built = []
+        monkeypatch.setattr(Expert, "init_random", lambda *a, **k: built.append(a))
+        kwargs = dict(
+            num_tokens=8, num_experts=4, top_k=2, d_h=4, d_ff=4,
+            active_fractions=[1.0], repetitions=1,
+        )
+        kwargs.update(override)
+        with pytest.raises(ContractError, match=message):
+            bench_dispatch(**kwargs)
+        assert built == []
+
     @pytest.mark.slow
     def test_wall_time_ordering(self):
         rows = bench_dispatch(

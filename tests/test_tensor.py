@@ -13,7 +13,6 @@ from beamoe.tensor import (
     binarize_ste,
     causal_attention,
     cross_entropy,
-    div,
     matmul,
     mul,
     reshape,
@@ -32,6 +31,7 @@ from beamoe.tensor import (
 from reference_ops import (
     NEG_SENTINEL,
     check_gradient,
+    div,
     gather_rc,
     mask_fill,
     reference_causal_attention,

@@ -22,8 +22,9 @@ from beamoe.trainer import (
     synthetic_text,
     total_loss,
     train,
+    write_trace,
 )
-from reference_ops import reference_sample_greedy, save_checkpoint_v1
+from reference_ops import reference_sample_greedy, reference_write_trace, save_checkpoint_v1
 
 
 def small_model_cfg(vocab=12, strategy=None, seed=0):
@@ -187,6 +188,16 @@ class TestTrainLoop:
         header, first = path.read_text().splitlines()[:2]
         assert header == TRACE_HEADER and header.endswith(",learning_rate,grad_norm")
         assert float(first.split(",")[-1]) == rows[0].grad_norm
+
+    def test_trace_file_bytes_match_hand_listed_columns(self, corpus, tmp_path):
+        ids, vocab = corpus
+        tc = small_train_cfg(steps=4, beta=0.1)
+        _, rows = train(small_model_cfg(len(vocab), RoutingStrategy("beam")), tc, ids)
+        write_trace(rows, tmp_path / "new.csv")
+        reference_write_trace(rows, tmp_path / "ref.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.count(b"\n") == 5
 
     def test_beam_step0_matches_vanilla_exactly(self, corpus):
         ids, vocab = corpus

@@ -11,6 +11,10 @@ derived from the slot set, never stored.
 Every strategy starts from one ``topk_route`` call. ``moe_dynamic`` asks it
 for all N experts as candidates, then renormalizes over its top-p set with
 the kept-set softmax, which is also its balance set and its active bits.
+
+Strategy parameters are declared in one place, ``PARAM_DEFAULTS`` with
+``PARAM_RULES``: each default, type and range. ``RoutingStrategy.validate``,
+``RoutingStrategy.resolved``, ``build_block`` and ``route`` all read it.
 """
 
 from __future__ import annotations
@@ -31,19 +35,37 @@ from .moe import (
 )
 from .tensor import ContractError, Tensor, mul, slice_cols, softmax
 
-KINDS = (
-    "vanilla_topk",
-    "topk_reduced",
-    "topk_pruning",
-    "moe_dynamic",
-    "ada_moe",
-    "beam",
-    "soft_mask",
-    "soft_mask_tempered",
-)
+# The parameter table: each kind's parameters and their defaults (None is the
+# block's top_k), then per parameter whether it must be an integer, its range
+# rule over the value and the block config, and the out-of-range message.
+PARAM_DEFAULTS = {
+    "vanilla_topk": {},
+    "topk_reduced": {"k_small": None},
+    "topk_pruning": {"k_infer": None},
+    "moe_dynamic": {"phi": 0.5},
+    "ada_moe": {"null_count": 0},
+    "beam": {"tau": 0.5},
+    "soft_mask": {"tau": 0.5},
+    "soft_mask_tempered": {"tau": 0.5, "temp_floor": 0.1},
+}
+PARAM_RULES = {
+    "k_small": (True, lambda v, c: 1 <= v <= c.num_experts, "k_small out of range"),
+    "k_infer": (True, lambda v, c: 1 <= v <= c.top_k, "k_infer must satisfy 1 <= K_infer <= K_train"),
+    "phi": (False, lambda v, c: 0.0 < v <= 1.0, "phi must lie in (0, 1]"),
+    "null_count": (True, lambda v, c: v >= 0, "null_count must be >= 0"),
+    "tau": (False, lambda v, c: 0.0 < v < 1.0, "tau must lie in (0, 1)"),
+    "temp_floor": (False, lambda v, c: v > 0, "temp_floor must be positive"),
+}
+KINDS = tuple(PARAM_DEFAULTS)
 
 _MASKED_KINDS = {"beam", "soft_mask", "soft_mask_tempered"}
-_INT_PARAMS = {"k_small", "k_infer", "null_count"}  # the others are real numbers
+
+
+def is_number(value, integer: bool) -> bool:
+    """An integer (or, unless ``integer``, a real number) that is not a bool:
+    bool is an int subclass, so True would pass as a count of 1."""
+    want = numbers.Integral if integer else numbers.Real
+    return isinstance(value, want) and not isinstance(value, bool)
 
 
 @dataclass
@@ -51,69 +73,40 @@ class RoutingStrategy:
     kind: str
     params: dict = field(default_factory=dict)
 
+    def resolved(self, cfg: MoEBlockConfig) -> dict:
+        """Every parameter of the kind: its given value, else its default."""
+        defaults = {n: cfg.top_k if d is None else d for n, d in PARAM_DEFAULTS[self.kind].items()}
+        return {n: self.params[n] if n in self.params else d for n, d in defaults.items()}
+
     def validate(self, cfg: MoEBlockConfig) -> None:
         if self.kind not in KINDS:
             raise ContractError(f"unknown routing strategy {self.kind!r}")
-        p = dict(self.params)
-        known = {
-            "vanilla_topk": set(),
-            "topk_reduced": {"k_small"},
-            "topk_pruning": {"k_infer"},
-            "moe_dynamic": {"phi"},
-            "ada_moe": {"null_count"},
-            "beam": {"tau"},
-            "soft_mask": {"tau"},
-            "soft_mask_tempered": {"tau", "temp_floor"},
-        }[self.kind]
-        unknown = set(p) - known
+        unknown = set(self.params) - set(PARAM_DEFAULTS[self.kind])
         if unknown:
             raise ContractError(f"{self.kind}: unknown params {sorted(unknown)}")
-        for name, value in p.items():
-            # bool is an int subclass: True would pass as a count of 1
-            want = numbers.Integral if name in _INT_PARAMS else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, want):
-                noun = "an integer" if want is numbers.Integral else "a real number"
+        for name, value in self.params.items():
+            integer = PARAM_RULES[name][0]
+            if not is_number(value, integer):
+                noun = "an integer" if integer else "a real number"
                 raise ContractError(f"{self.kind}: {name} must be {noun}, got {value!r}")
-        if self.kind == "topk_reduced":
-            k_small = p.get("k_small", cfg.top_k)
-            if not 1 <= k_small <= cfg.num_experts:
-                raise ContractError("k_small out of range")
-        elif self.kind == "topk_pruning":
-            k_infer = p.get("k_infer", cfg.top_k)
-            if not 1 <= k_infer <= cfg.top_k:
-                raise ContractError("k_infer must satisfy 1 <= K_infer <= K_train")
-        elif self.kind == "moe_dynamic":
-            phi = p.get("phi", 0.5)
-            if not 0.0 < phi <= 1.0:
-                raise ContractError("phi must lie in (0, 1]")
-        elif self.kind == "ada_moe":
-            if p.get("null_count", 0) < 0:
-                raise ContractError("null_count must be >= 0")
-        if self.kind in _MASKED_KINDS:
-            tau = p.get("tau", 0.5)
-            if not 0.0 < tau < 1.0:
-                raise ContractError("tau must lie in (0, 1)")
-        if self.kind == "soft_mask_tempered" and not p.get("temp_floor", 0.1) > 0:
-            raise ContractError("temp_floor must be positive")
+        for name, value in self.resolved(cfg).items():
+            _, in_range, message = PARAM_RULES[name]
+            if not in_range(value, cfg):
+                raise ContractError(message)
 
     @property
     def needs_mask_router(self) -> bool:
         return self.kind in _MASKED_KINDS
-
-    @property
-    def extra_router_cols(self) -> int:
-        return self.params.get("null_count", 0) if self.kind == "ada_moe" else 0
 
 
 def build_block(
     cfg: MoEBlockConfig, strategy: RoutingStrategy, rng: np.random.Generator
 ) -> MoEBlock:
     strategy.validate(cfg)
-    block = MoEBlock(cfg, rng, extra_router_cols=strategy.extra_router_cols)
+    p = strategy.resolved(cfg)
+    block = MoEBlock(cfg, rng, null_count=p.get("null_count", 0))  # ada_moe only
     if strategy.needs_mask_router:
-        block.mask_router = beam_mod.MaskRouter.zero_init(
-            cfg.d_h, cfg.num_experts, strategy.params.get("tau", 0.5)
-        )
+        block.mask_router = beam_mod.MaskRouter.zero_init(cfg.d_h, cfg.num_experts, p["tau"])
     return block
 
 
@@ -167,7 +160,9 @@ def dynamic_select(probs: np.ndarray, phi: float) -> np.ndarray:
     return active
 
 
-def temperature_at(step: int, total_steps: int, floor: float = 0.1) -> float:
+def temperature_at(
+    step: int, total_steps: int, floor: float = PARAM_DEFAULTS["soft_mask_tempered"]["temp_floor"]
+) -> float:
     """Geometric decay 1.0 -> floor, reaching the floor halfway through."""
     half = max(1, total_steps // 2)
     return max(floor, float(floor ** (min(step, half) / half)))
@@ -184,13 +179,13 @@ def route(
 ) -> RouteResult:
     n = block.cfg.num_experts
     kind = strategy.kind
-    p = strategy.params
+    p = strategy.resolved(block.cfg)
 
     k = block.cfg.top_k
     if kind == "topk_reduced":
-        k = p.get("k_small", k)
+        k = p["k_small"]
     elif kind == "topk_pruning" and not training:
-        k = p.get("k_infer", k)
+        k = p["k_infer"]
     elif kind == "moe_dynamic":
         # every expert is a candidate, in descending-logit order (ties to the
         # lower index): the top-p set can hold more than K experts, and
@@ -204,7 +199,7 @@ def route(
     raw_mask = None
 
     if kind == "moe_dynamic":
-        balance_active = dynamic_select(dec.weights.data, p.get("phi", 0.5))
+        balance_active = dynamic_select(dec.weights.data, p["phi"])
         weights_hat = softmax(dec.logits, balance_active)
         bits = np.take_along_axis(balance_active, ids, axis=-1).astype(np.int64)
     elif kind == "ada_moe":
@@ -215,7 +210,7 @@ def route(
     elif kind in _MASKED_KINDS:
         temp = 1.0
         if kind == "soft_mask_tempered":
-            floor = p.get("temp_floor", 0.1)
+            floor = p["temp_floor"]
             temp = temperature_at(step, total_steps, floor) if training else floor
         maskdec = beam_mod.mask_forward(x_norm, block.mask_router, temp)
         raw_mask = maskdec.raw_mask

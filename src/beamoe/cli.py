@@ -12,13 +12,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import analysis, dispatch
-from .baselines import KINDS, RoutingStrategy
+from .baselines import KINDS, RoutingStrategy, is_number
 from .tensor import ContractError
 from .trainer import (
     ModelConfig,
@@ -40,58 +41,81 @@ class ConfigError(ValueError):
     pass
 
 
-def _dataclass_defaults(cls, skip: tuple[str, ...] = ()) -> dict:
-    return {
-        f.name: None if f.default is MISSING else f.default
-        for f in fields(cls)
-        if f.name not in skip
-    }
+def _dataclass_fields(cls, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    """Each field's default (None where it has none) and each field's type."""
+    hints = get_type_hints(cls)
+    kept = [f for f in fields(cls) if f.name not in skip]
+    defaults = {f.name: None if f.default is MISSING else f.default for f in kept}
+    return defaults, {f.name: hints[f.name] for f in kept}
 
 
 # vocab_size has no default: None resolves it from the corpus
-_MODEL_DEFAULTS = _dataclass_defaults(ModelConfig, skip=("strategy",))
-_TRAIN_DEFAULTS = _dataclass_defaults(TrainConfig)
+_MODEL_DEFAULTS, _MODEL_TYPES = _dataclass_fields(ModelConfig, skip=("strategy",))
+_TRAIN_DEFAULTS, _TRAIN_TYPES = _dataclass_fields(TrainConfig)
 
-_CORPUS_KEYS = {"synthetic": {"kind", "length", "seed"}, "file": {"kind", "path"}}
+_CORPUS_TYPES = {
+    "synthetic": {"kind": str, "length": int, "seed": int},
+    "file": {"kind": str, "path": str},
+}
+_NOUNS = {int: "an integer", float: "a real number", bool: "a boolean", str: "a string"}
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _check_value(value, want: type, where: str) -> None:
+    ok = isinstance(value, want) if want in (bool, str) else is_number(value, want is int)
+    if not ok:
+        raise ConfigError(f"{where} must be {_NOUNS[want]}, got {value!r}")
+
+
+def _fields(section, types: dict, where: str, nullable: tuple[str, ...] = ()) -> dict:
+    """``section``, checked to be an object whose every key is known and whose
+    every value has its field's type."""
+    _check_keys(_object(section, where), types, where)
+    for name, value in section.items():
+        if not (value is None and name in nullable):
+            _check_value(value, types[name], f"{where}.{name}")
+    return section
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate a raw config dict and materialize every default."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    _object(raw, "config")
     top_allowed = {"version", "model", "train", "strategy", "corpus", "output_dir", "trace_sampling"}
     _check_keys(raw, top_allowed, "config")
-    if raw.get("version") != CONFIG_VERSION:
+    if not is_number(raw.get("version"), True) or raw["version"] != CONFIG_VERSION:
         raise ConfigError(f"config: version must be {CONFIG_VERSION}")
     for required in ("strategy", "corpus", "output_dir"):
         if required not in raw:
             raise ConfigError(f"config: missing required field {required!r}")
+    _check_value(raw["output_dir"], str, "output_dir")
 
-    model = dict(_MODEL_DEFAULTS)
-    _check_keys(raw.get("model", {}), set(_MODEL_DEFAULTS), "model")
-    model.update(raw.get("model", {}))
+    model_sec = _fields(raw.get("model", {}), _MODEL_TYPES, "model", nullable=("vocab_size",))
+    model = {**_MODEL_DEFAULTS, **model_sec}
+    train_sec = {**_TRAIN_DEFAULTS, **_fields(raw.get("train", {}), _TRAIN_TYPES, "train")}
 
-    train_sec = dict(_TRAIN_DEFAULTS)
-    _check_keys(raw.get("train", {}), set(_TRAIN_DEFAULTS), "train")
-    train_sec.update(raw.get("train", {}))
-
-    strategy = raw["strategy"]
+    strategy = _object(raw["strategy"], "strategy")
     _check_keys(strategy, {"kind", "params"}, "strategy")
     if strategy.get("kind") not in KINDS:
         raise ConfigError(f"strategy.kind must be one of {list(KINDS)}")
-    strategy = {"kind": strategy["kind"], "params": dict(strategy.get("params", {}))}
+    params = _object(strategy.get("params", {}), "strategy.params")
+    strategy = {"kind": strategy["kind"], "params": dict(params)}
 
-    corpus = dict(raw["corpus"])
+    corpus = dict(_object(raw["corpus"], "corpus"))
     kind = corpus.get("kind")
-    if kind not in _CORPUS_KEYS:
+    if not isinstance(kind, str) or kind not in _CORPUS_TYPES:
         raise ConfigError("corpus.kind must be 'synthetic' or 'file'")
-    _check_keys(corpus, _CORPUS_KEYS[kind], "corpus")
+    _fields(corpus, _CORPUS_TYPES[kind], "corpus")
     if kind == "synthetic":
         corpus.setdefault("length", 102400)
         corpus.setdefault("seed", 7)
@@ -99,6 +123,7 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("corpus: missing required field 'path'")
 
     trace_sampling = raw.get("trace_sampling", 1.0)
+    _check_value(trace_sampling, float, "trace_sampling")
     if not 0.0 < trace_sampling <= 1.0:
         raise ConfigError("trace_sampling must lie in (0, 1]")
 

@@ -137,8 +137,10 @@ def bench_dispatch(
     """
     if not 1 <= top_k <= num_experts:
         raise ContractError(f"top_k must lie in [1, num_experts], got {top_k} of {num_experts}")
-    if repetitions < 1:
-        raise ContractError(f"repetitions must be >= 1, got {repetitions}")
+    sizes = {"num_tokens": num_tokens, "d_h": d_h, "d_ff": d_ff, "repetitions": repetitions}
+    for name, value in sizes.items():
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1, got {value}")
     if not active_fractions:
         raise ContractError("active_fractions names no fraction")
     for f in active_fractions:

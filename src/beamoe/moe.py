@@ -155,8 +155,8 @@ def balance_loss_from(logits: Tensor, active: np.ndarray) -> Tensor:
 class MoEBlock:
     """Parameter container for one MoE layer.
 
-    The router matrix has ``num_experts + extra_router_cols`` columns; the
-    extra columns exist only for null-expert routing. ``mask_router`` is
+    The router matrix has ``num_experts + null_count`` columns; the null
+    columns exist only for ``ada_moe``'s null-expert routing. ``mask_router`` is
     attached by the strategies that need one and stays None otherwise.
     """
 
@@ -164,12 +164,12 @@ class MoEBlock:
         self,
         cfg: MoEBlockConfig,
         rng: np.random.Generator,
-        extra_router_cols: int = 0,
+        null_count: int = 0,
         init_std: float = 0.02,
     ):
         self.cfg = cfg
         self.router_w = Tensor(
-            rng.normal(0.0, init_std, (cfg.d_h, cfg.num_experts + extra_router_cols)),
+            rng.normal(0.0, init_std, (cfg.d_h, cfg.num_experts + null_count)),
             requires_grad=True,
         )
         self.experts = [

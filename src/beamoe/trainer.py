@@ -326,9 +326,8 @@ def sample_batch(
     ids: np.ndarray, context: int, batch_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     starts = rng.integers(0, len(ids) - context, size=batch_size)
-    x = np.stack([ids[s : s + context] for s in starts])
-    y = np.stack([ids[s + 1 : s + context + 1] for s in starts])
-    return x, y
+    windows = starts[:, None] + np.arange(context)
+    return ids[windows], ids[windows + 1]
 
 
 def train(
@@ -660,10 +659,8 @@ def evaluate(
 
     for start in range(0, n_windows, batch_size):
         count = min(batch_size, n_windows - start)
-        xs = np.stack([corpus_ids[i * t : i * t + t] for i in range(start, start + count)])
-        ys = np.stack(
-            [corpus_ids[i * t + 1 : i * t + t + 1] for i in range(start, start + count)]
-        )
+        xs = corpus_ids[start * t : (start + count) * t].reshape(count, t)
+        ys = corpus_ids[start * t + 1 : (start + count) * t + 1].reshape(count, t)
         logits, routes = model.forward(xs, training=False, binarize_soft=binarize_soft)
         b, tt, v = logits.shape
         nll = float(cross_entropy(reshape(logits, (b * tt, v)), ys.reshape(-1)).data)

@@ -49,6 +49,10 @@
 - ``reference_write_trace``, the training-trace writer whose header and
   row format listed the eight columns by hand: ``trainer.write_trace``,
   which derives both from the ``TraceRow`` fields, must write the same bytes.
+- ``reference_sample_batch`` and ``reference_eval_windows``, which built
+  training batches and evaluation windows by stacking one slice per
+  window: ``trainer.sample_batch``'s fancy index and ``trainer.evaluate``'s
+  reshaped slices must give the same arrays.
 - ``reference_dynamic_route``, ``moe_dynamic``'s own early-return route:
   the router matmul, the full softmax, ``mul`` by the top-p set, and the
   ``row_sum`` and ``div`` tape ops that renormalized it, with candidates in
@@ -679,3 +683,16 @@ def reference_write_trace(rows, path) -> None:
                 f"{r.total_loss!r},{r.expert_active_rate!r},{r.learning_rate!r},"
                 f"{r.grad_norm!r}\n"
             )
+
+
+def reference_sample_batch(ids, context, batch_size, rng):
+    starts = rng.integers(0, len(ids) - context, size=batch_size)
+    x = np.stack([ids[s : s + context] for s in starts])
+    y = np.stack([ids[s + 1 : s + context + 1] for s in starts])
+    return x, y
+
+
+def reference_eval_windows(corpus_ids, t, start, count):
+    xs = np.stack([corpus_ids[i * t : i * t + t] for i in range(start, start + count)])
+    ys = np.stack([corpus_ids[i * t + 1 : i * t + t + 1] for i in range(start, start + count)])
+    return xs, ys

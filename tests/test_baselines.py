@@ -78,6 +78,50 @@ class TestStrategyValidation:
             RoutingStrategy("soft_mask_tempered", {"temp_floor": float("nan")}).validate(cfg())
 
 
+class TestParamTable:
+    # a valid value for each parameter that differs from its default
+    GIVEN = {"k_small": 2, "k_infer": 2, "phi": 0.3, "null_count": 2, "tau": 0.3, "temp_floor": 0.2}
+
+    def test_kinds_keep_their_order(self):
+        # the CLI's "strategy.kind must be one of [...]" message prints this order
+        assert baselines.KINDS == (
+            "vanilla_topk",
+            "topk_reduced",
+            "topk_pruning",
+            "moe_dynamic",
+            "ada_moe",
+            "beam",
+            "soft_mask",
+            "soft_mask_tempered",
+        )
+
+    @pytest.mark.parametrize("top_k", [1, 6], ids=["top_k-1", "top_k-N"])
+    @pytest.mark.parametrize("kind", baselines.KINDS)
+    def test_defaults_pass_their_own_rules(self, kind, top_k):
+        c = cfg(n=6, k=top_k)
+        for name, value in RoutingStrategy(kind).resolved(c).items():
+            integer, in_range, _ = baselines.PARAM_RULES[name]
+            assert baselines.is_number(value, integer), name
+            assert in_range(value, c), name
+        RoutingStrategy(kind).validate(c)
+
+    @pytest.mark.parametrize("kind", baselines.KINDS)
+    def test_resolved_names_and_given_values(self, kind):
+        names = set(baselines.PARAM_DEFAULTS[kind])
+        assert set(RoutingStrategy(kind).resolved(cfg())) == names
+        given = {name: self.GIVEN[name] for name in names}
+        assert RoutingStrategy(kind, given).resolved(cfg()) == given
+
+    def test_none_default_is_top_k(self):
+        for k in (1, 2, 3):
+            assert RoutingStrategy("topk_reduced").resolved(cfg(k=k)) == {"k_small": k}
+            assert RoutingStrategy("topk_pruning").resolved(cfg(k=k)) == {"k_infer": k}
+
+    def test_temperature_floor_default_is_the_table_default(self):
+        floor = baselines.PARAM_DEFAULTS["soft_mask_tempered"]["temp_floor"]
+        assert temperature_at(100, 100) == floor
+
+
 class TestTopkReduced:
     def test_equals_vanilla_when_k_small_is_k(self):
         s = RoutingStrategy("topk_reduced", {"k_small": 3})

@@ -104,6 +104,65 @@ class TestConfigValidation:
         assert f"{name} must be" in capsys.readouterr().err
         assert not (Path(cfg["output_dir"]) / "checkpoint.bin").exists()
 
+    # each value has the wrong JSON type: the run stops before training and
+    # the error names the key
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"train": {"steps": True, "beta": True}}, "train.steps must be an integer, got True"),
+            ({"model": {"has_norm": "no"}}, "model.has_norm must be a boolean, got 'no'"),
+            ({"model": {"d_h": "64"}}, "model.d_h must be an integer, got '64'"),
+            ({"train": {"steps": 1.5}}, "train.steps must be an integer, got 1.5"),
+            (
+                {"corpus": {"kind": "synthetic", "length": "abc"}},
+                "corpus.length must be an integer, got 'abc'",
+            ),
+            ({"trace_sampling": "1"}, "trace_sampling must be a real number, got '1'"),
+            (
+                {"strategy": {"kind": "beam", "params": [1, 2]}},
+                "strategy.params must be a JSON object, got [1, 2]",
+            ),
+            ({"corpus": "x"}, "corpus must be a JSON object, got 'x'"),
+            ({"strategy": "beam"}, "strategy must be a JSON object, got 'beam'"),
+            ({"version": True}, "config: version must be 1"),
+        ],
+        ids=[
+            "bool-steps-and-beta",
+            "string-has_norm",
+            "string-d_h",
+            "float-steps",
+            "string-corpus-length",
+            "string-trace_sampling",
+            "list-params",
+            "string-corpus",
+            "string-strategy",
+            "bool-version",
+        ],
+    )
+    def test_mistyped_value_exits_2_naming_its_key(self, tmp_path, capsys, overrides, message):
+        path, cfg = write_config(tmp_path, **overrides)
+        assert main(["train", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (Path(cfg["output_dir"]) / "checkpoint.bin").exists()
+
+    def test_typed_values_accepted(self):
+        # a null vocab_size resolves from the corpus, and an integer is a
+        # real number
+        raw = {
+            "version": 1,
+            "model": {"vocab_size": None},
+            "train": {"beta": 0, "learning_rate": 1},
+            "strategy": {"kind": "beam", "params": {}},
+            "corpus": {"kind": "file", "path": "corpus.txt"},
+            "output_dir": "out",
+            "trace_sampling": 1,
+        }
+        resolved = resolve_config(raw)
+        assert resolved["model"]["vocab_size"] is None
+        assert resolved["train"]["beta"] == 0
+
     @pytest.mark.parametrize("field", ["n_heads", "n_layers"])
     def test_zero_heads_or_layers_exit_2(self, tmp_path, capsys, field):
         path, _ = write_config(tmp_path, model={field: 0})
@@ -403,6 +462,22 @@ class TestBenchCommand:
     def test_top_k_above_experts_exits_2(self, capsys):
         assert main(["bench-dispatch", "--top-k", "9"] + self.SMALL) == 2
         assert "top_k must lie in [1, num_experts], got 9 of 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--tokens", "-1", "num_tokens must be >= 1, got -1"),
+            ("--tokens", "0", "num_tokens must be >= 1, got 0"),
+            ("--d-h", "0", "d_h must be >= 1, got 0"),
+            ("--d-ff", "0", "d_ff must be >= 1, got 0"),
+        ],
+        ids=["tokens-negative", "tokens-zero", "d-h-zero", "d-ff-zero"],
+    )
+    def test_size_below_one_exits_2(self, capsys, option, value, message):
+        assert main(["bench-dispatch", "--reps", "1"] + self.SMALL + [option, value]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestCompareCommand:

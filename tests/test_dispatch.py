@@ -178,8 +178,15 @@ class TestBench:
             ({"active_fractions": []}, "active_fractions names no fraction"),
             ({"top_k": 5}, r"top_k must lie in \[1, num_experts\]"),
             ({"top_k": 0}, r"top_k must lie in \[1, num_experts\]"),
+            ({"num_tokens": -1}, "num_tokens must be >= 1, got -1"),
+            ({"num_tokens": 0}, "num_tokens must be >= 1, got 0"),
+            ({"d_h": 0}, "d_h must be >= 1, got 0"),
+            ({"d_ff": 0}, "d_ff must be >= 1, got 0"),
         ],
-        ids=["reps", "no-fraction", "top_k-above-N", "top_k-zero"],
+        ids=[
+            "reps", "no-fraction", "top_k-above-N", "top_k-zero",
+            "tokens-negative", "tokens-zero", "d_h-zero", "d_ff-zero",
+        ],
     )
     def test_bad_range_rejected_before_building(self, override, message, monkeypatch):
         built = []

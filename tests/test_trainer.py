@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from beamoe import trainer
 from beamoe.baselines import RoutingStrategy
 from beamoe.tensor import ContractError, NumericError, Tape, Tensor
 from beamoe.trainer import (
@@ -24,7 +25,13 @@ from beamoe.trainer import (
     train,
     write_trace,
 )
-from reference_ops import reference_sample_greedy, reference_write_trace, save_checkpoint_v1
+from reference_ops import (
+    reference_eval_windows,
+    reference_sample_batch,
+    reference_sample_greedy,
+    reference_write_trace,
+    save_checkpoint_v1,
+)
 
 
 def small_model_cfg(vocab=12, strategy=None, seed=0):
@@ -227,6 +234,49 @@ class TestTrainLoop:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
             train(cfg, tc, ids)
         assert info.value.rows  # some finite steps were recorded
+
+
+class TestWindowSlicing:
+    @pytest.mark.parametrize("context,batch_size", [(16, 2), (5, 7), (1, 3)])
+    def test_sample_batch_equals_stacked_slices(self, corpus, context, batch_size):
+        ids, _ = corpus
+        got = trainer.sample_batch(ids, context, batch_size, np.random.default_rng(4))
+        want = reference_sample_batch(ids, context, batch_size, np.random.default_rng(4))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("max_windows,batch_size", [(None, 8), (7, 3), (1, 8)])
+    def test_evaluate_windows_equal_stacked_slices(self, corpus, monkeypatch, max_windows, batch_size):
+        ids, vocab = corpus
+        model = TinyMoELM(small_model_cfg(len(vocab)))
+        inputs, targets = [], []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda xs, **kw: inputs.append(xs) or forward(xs, **kw))
+        cross_entropy = trainer.cross_entropy
+        monkeypatch.setattr(
+            trainer, "cross_entropy", lambda logits, ys: targets.append(ys) or cross_entropy(logits, ys)
+        )
+        evaluate(model, ids, max_windows=max_windows, batch_size=batch_size)
+        t = model.cfg.context_length
+        n_windows = (len(ids) - 1) // t if max_windows is None else max_windows
+        starts = range(0, n_windows, batch_size)
+        assert len(inputs) == len(targets) == len(starts)
+        for xs, ys, start in zip(inputs, targets, starts):
+            want_x, want_y = reference_eval_windows(ids, t, start, min(batch_size, n_windows - start))
+            assert xs.dtype == want_x.dtype and np.array_equal(xs, want_x)
+            assert np.array_equal(ys, want_y.reshape(-1))
+
+    def test_train_trace_bytes_equal_stacked_batches(self, corpus, monkeypatch, tmp_path):
+        ids, vocab = corpus
+        model_cfg = small_model_cfg(len(vocab), RoutingStrategy("beam"))
+        tc = small_train_cfg(steps=4, beta=0.1)
+        _, rows = train(model_cfg, tc, ids)
+        write_trace(rows, tmp_path / "new.csv")
+        monkeypatch.setattr(trainer, "sample_batch", reference_sample_batch)
+        _, rows = train(model_cfg, tc, ids)
+        write_trace(rows, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestCheckpoint:

@@ -44,7 +44,7 @@ def _per_cell(value, n: int):
     return column
 
 
-def _block_columns(n, sequence_id, position, layer, expert_ids, mask_bits, phase, token_id):
+def _block_columns(n, sequence_id, position, layer, expert_ids, mask_bits, phase_code, token_id):
     """Row columns of one recorded block: cell-major, ranks 1..K in a cell."""
     k = expert_ids.shape[-1]
 
@@ -58,9 +58,33 @@ def _block_columns(n, sequence_id, position, layer, expert_ids, mask_bits, phase
         "rank": np.tile(np.arange(1, k + 1, dtype=np.int64), n),
         "expert_id": expert_ids.reshape(-1),
         "mask_bit": mask_bits.reshape(-1).astype(np.int64),
-        "phase": np.full(n * k, phase),
+        "phase": np.full(n * k, phase_code, dtype=np.uint8),
         "token_id": per_row(token_id),
     }
+
+
+def _phase_names(codes: np.ndarray) -> np.ndarray:
+    """The phase strings of uint8 codes: as wide as the widest name present,
+    ``<U1`` when none is, the dtype ``np.asarray`` gives the strings."""
+    present = np.bincount(codes, minlength=len(PHASES)).astype(bool)
+    width = max((len(name) for name, seen in zip(PHASES, present) if seen), default=1)
+    return np.array(PHASES, dtype=f"<U{width}")[codes]
+
+
+def _text_table(column: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct field text of a column, followed by ``end``, and each
+    row's index into them. Phase codes index ``PHASES``; an integer column
+    whose value range is smaller than its row count is tabled over that
+    range (``codes = column - min``), any other through ``np.unique``."""
+    if column.dtype == np.uint8:
+        return np.array([f"{name}{end}" for name in PHASES], dtype=object), column.astype(np.intp)
+    lo, hi = int(column.min()), int(column.max())
+    if hi - lo < len(column):
+        values, codes = range(lo, hi + 1), column - lo  # may wrap in int64, lands in [0, hi - lo]
+    else:
+        unique, codes = np.unique(column, return_inverse=True)
+        values = unique.tolist()
+    return np.array([f"{v}{end}" for v in values], dtype=object), codes
 
 
 class SparsityTrace:
@@ -71,16 +95,21 @@ class SparsityTrace:
     route to nothing (null experts); ``mask_bit`` says whether the slot
     actually executed.
 
-    Rows are numpy columns, one per ``TRACE_HEADER`` field. ``record_cell``
-    only queues a copy of its block; the first read (``arrays()``, a column
-    attribute, ``k``, ``to_csv``) appends the queue to the columns, which
-    stay cached and read-only until the next ``record_cell``.
+    Rows are numpy columns, one per ``TRACE_HEADER`` field: int64, except
+    ``phase``, which is stored as a uint8 index into ``PHASES`` whether the
+    rows were recorded or parsed. ``record_cell`` only queues a copy of its
+    block; the first read (``arrays()``, a column attribute, ``k``,
+    ``to_csv``, a metric) appends the queue to the columns, which stay cached
+    and read-only until the next ``record_cell``. The phase strings are
+    decoded once per such consolidation, on the first read that asks for
+    them (``arrays()`` or ``.phase``), and the (sequence, position, layer)
+    cell index once, on the first ``avg_k``.
     """
 
     def __init__(self):
-        self._columns: dict[str, np.ndarray] | None = None
-        self._pending: list[tuple] = []
         self._rows = 0
+        empty = {name: np.zeros(0, np.uint8 if name == "phase" else np.int64) for name in TRACE_HEADER}
+        self._set_columns(empty)
 
     def __len__(self) -> int:
         return self._rows
@@ -111,7 +140,7 @@ class SparsityTrace:
             int(layer),
             expert_ids,
             mask_bits,
-            phase,
+            PHASES.index(phase),
             _per_cell(token_id, n),
         )
         if expert_ids.size:
@@ -119,23 +148,36 @@ class SparsityTrace:
             self._rows += expert_ids.size
 
     def _consolidated(self) -> dict[str, np.ndarray]:
+        """The stored columns, phase as codes, with the queue appended."""
         if self._pending:
-            blocks = [_block_columns(*block) for block in self._pending]
-            if self._columns is not None:
-                blocks.insert(0, self._columns)
-            self._columns = {
-                name: _frozen(np.concatenate([b[name] for b in blocks])) for name in TRACE_HEADER
-            }
-            self._pending = []
-        elif self._columns is None:
-            self._columns = {name: _frozen(np.zeros(0, dtype=np.int64)) for name in TRACE_HEADER}
-            self._columns["phase"] = _frozen(np.zeros(0, dtype=str))
-        return self._columns
+            blocks = [self._stored, *(_block_columns(*block) for block in self._pending)]
+            self._set_columns({name: np.concatenate([b[name] for b in blocks]) for name in TRACE_HEADER})
+        return self._stored
+
+    def _set_columns(self, stored: dict[str, np.ndarray]) -> None:
+        """Store new columns, phase as codes, and drop what was derived from
+        the old ones: the decoded columns and the cell index."""
+        self._stored = {name: _frozen(column) for name, column in stored.items()}
+        self._columns: dict[str, np.ndarray] | None = None  # arrays(), phase as strings
+        self._cells: tuple[np.ndarray, np.ndarray] | None = None
+        self._pending: list[tuple] = []
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The columns by name: int64, and a str array for ``phase``. The
-        arrays are read-only views of the trace's own storage."""
-        return dict(self._consolidated())
+        arrays are read-only and shared with the trace: the int64 columns
+        are its storage, the phase strings their cached decoding."""
+        stored = self._consolidated()
+        if self._columns is None:
+            self._columns = stored | {"phase": _frozen(_phase_names(stored["phase"]))}
+        return dict(self._columns)
+
+    def _cached_cell_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_cell_index`` of the consolidated columns, computed on first use
+        and kept until a ``record_cell`` changes them."""
+        stored = self._consolidated()
+        if self._cells is None:
+            self._cells = _cell_index(stored)
+        return self._cells
 
     sequence_id = property(lambda self: self._consolidated()["sequence_id"])
     position = property(lambda self: self._consolidated()["position"])
@@ -143,7 +185,7 @@ class SparsityTrace:
     rank = property(lambda self: self._consolidated()["rank"])
     expert_id = property(lambda self: self._consolidated()["expert_id"])
     mask_bit = property(lambda self: self._consolidated()["mask_bit"])
-    phase = property(lambda self: self._consolidated()["phase"])
+    phase = property(lambda self: self.arrays()["phase"])
     token_id = property(lambda self: self._consolidated()["token_id"])
 
     @property
@@ -152,21 +194,31 @@ class SparsityTrace:
 
     def to_csv(self, path) -> None:
         """Write the header and one CRLF-ended line per row: the bytes
-        ``csv.writer`` writes. Each column's distinct values are formatted
-        once, and rows are joined ``_CSV_CHUNK_ROWS`` at a time."""
+        ``csv.writer`` writes.
+
+        Each column's field texts are formatted once per distinct value
+        (``_text_table``): phase's from its codes, an integer column's from
+        its value range when that is smaller than the row count, else from
+        ``np.unique``. Neighbouring columns whose tables multiply to at most
+        a sixteenth of the rows share one table of joined texts. Rows are
+        then joined ``_CSV_CHUNK_ROWS`` at a time.
+        """
         columns = self._consolidated()
-        texts, codes = [], []
-        for name in TRACE_HEADER:
-            # each field's text carries the separator that follows it
-            end = "\r\n" if name == TRACE_HEADER[-1] else ","
-            values, inverse = np.unique(columns[name], return_inverse=True)
-            texts.append(np.array([f"{v}{end}" for v in values.tolist()], dtype=object))
-            codes.append(inverse)
         with open(path, "w", newline="") as f:
             f.write(",".join(TRACE_HEADER) + "\r\n")
+            if not self._rows:
+                return
+            # each field's text carries the separator that follows it
+            tables = []
+            for name in TRACE_HEADER:
+                text, codes = _text_table(columns[name], "\r\n" if name == TRACE_HEADER[-1] else ",")
+                if tables and len(tables[-1][0]) * len(text) <= self._rows // 16:
+                    joined, joined_codes = tables.pop()
+                    text, codes = np.add.outer(joined, text).ravel(), joined_codes * len(text) + codes
+                tables.append((text, codes))
             for lo in range(0, self._rows, _CSV_CHUNK_ROWS):
                 rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-                fields = np.column_stack([text[code[rows]] for text, code in zip(texts, codes)])
+                fields = np.column_stack([text[codes[rows]] for text, codes in tables])
                 f.write("".join(fields.ravel().tolist()))
 
     @classmethod
@@ -184,7 +236,9 @@ class SparsityTrace:
         Nothing else is read: no quoted fields, no spaces, no ``+`` or ``_``
         in a number, no non-ASCII digits, no lone ``\r`` line ends, no blank
         lines. A ``ContractError`` names the first bad line by its number in
-        the file. Rows are parsed ``_CSV_CHUNK_ROWS`` at a time.
+        the file. Rows are parsed ``_CSV_CHUNK_ROWS`` at a time, each phase
+        field straight to its uint8 code, so the strings are built only if
+        ``arrays()`` or ``.phase`` asks for them.
         """
         with open(path, "rb") as f:
             data = f.read()
@@ -202,28 +256,25 @@ class SparsityTrace:
         if rows == 0:
             return trace
         table = np.empty((len(_INT_COLUMNS), rows), dtype=np.int64)
-        prefill = np.empty(rows, dtype=bool)
+        phase = np.empty(rows, dtype=np.uint8)
         for lo in range(0, rows, _CSV_CHUNK_ROWS):
             hi = min(lo + _CSV_CHUNK_ROWS, rows)
-            fault = _parse_rows(buf, starts[lo:hi], ends[lo:hi], table[:, lo:hi], prefill[lo:hi])
+            fault = _parse_rows(buf, starts[lo:hi], ends[lo:hi], table[:, lo:hi], phase[lo:hi])
             if fault is not None:
                 row, bit = fault
                 lineno = lo + row + 2
                 if bit is None:
                     raise ContractError(f"malformed trace row {lineno} in {path}")
                 raise ContractError(f"mask_bit {bit} is not 0 or 1 in trace row {lineno} in {path}")
-        columns = dict(zip(_INT_COLUMNS, table))
-        # the dtype np.asarray gives the phase strings: as wide as the widest present
-        present = [name for name, seen in zip(PHASES, (prefill.any(), not prefill.all())) if seen]
-        columns["phase"] = np.where(prefill, *PHASES).astype(np.asarray(present).dtype)
-        trace._columns = {name: _frozen(columns[name]) for name in TRACE_HEADER}
+        columns = dict(zip(_INT_COLUMNS, table), phase=phase)
+        trace._set_columns({name: columns[name] for name in TRACE_HEADER})
         trace._rows = rows
         return trace
 
 
-def _parse_rows(buf, starts, ends, table, prefill):
+def _parse_rows(buf, starts, ends, table, phase):
     """Parse the rows ``buf[starts[i]:ends[i]]`` into ``table`` (one int64
-    row per ``_INT_COLUMNS`` entry) and ``prefill`` (phase is ``PHASES[0]``).
+    row per ``_INT_COLUMNS`` entry) and ``phase`` (uint8 index into ``PHASES``).
 
     Returns None if every row is good, else ``(i, bit)`` for the first bad
     row i: bit is None for a malformed row, or the ``mask_bit`` value that
@@ -231,7 +282,8 @@ def _parse_rows(buf, starts, ends, table, prefill):
     """
     commas = np.flatnonzero(buf[starts[0] : ends[-1]] == _COMMA) + starts[0]
     per_row = len(TRACE_HEADER) - 1
-    counts = np.searchsorted(commas, ends) - np.searchsorted(commas, starts)
+    # no comma lies between a row's end and the next row's start
+    counts = np.diff(np.searchsorted(commas, starts), append=len(commas))
     wrong_count = np.flatnonzero(counts != per_row)
     n = int(wrong_count[0]) if wrong_count.size else len(starts)  # rows with eight fields
     inner = commas[: n * per_row].reshape(n, per_row)
@@ -244,9 +296,8 @@ def _parse_rows(buf, starts, ends, table, prefill):
         row[:n], ok_j = _int_fields(buf, field_starts[:, j], field_ends[:, j])
         ok &= ok_j
     j = TRACE_HEADER.index("phase")
-    is_phase = [_fields_equal(buf, field_starts[:, j], field_ends[:, j], name) for name in PHASES]
-    ok &= np.logical_or.reduce(is_phase)
-    prefill[:n] = is_phase[0]
+    phase[:n], is_phase = _phase_codes(buf, field_starts[:, j], field_ends[:, j])
+    ok &= is_phase
     bits = table[_INT_COLUMNS.index("mask_bit"), :n]
 
     bad = np.flatnonzero(~ok | ((bits != 0) & (bits != 1)))
@@ -273,12 +324,11 @@ def _int_fields(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     magnitude = np.zeros(len(starts), dtype=np.uint64)
     # ends - place stays inside the file: every field follows the header line
     for place in range(min(int(digit_count.max(initial=0)), _PLACES), 0, -1):
-        at = ends - place
-        inside = at >= digits_from
-        digit = buf[at] - _ZERO  # uint8: a byte below '0' wraps above 9
-        ok &= (digit < 10) | ~inside
+        # uint8: a byte below '0' wraps above 9; places left of the digits read 0
+        digit = np.where(digit_count >= place, buf[ends - place] - _ZERO, 0)
+        ok &= digit < 10
         magnitude *= 10
-        magnitude += np.where(inside, digit, 0)
+        magnitude += digit
     overlong = np.flatnonzero(digit_count > _PLACES)
     if overlong.size:
         lo, hi = digits_from[overlong], ends[overlong] - _PLACES
@@ -290,18 +340,35 @@ def _int_fields(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     return values, ok
 
 
-def _fields_equal(buf, starts, ends, word: str) -> np.ndarray:
-    """Whether each field ``buf[starts[i]:ends[i]]`` is the ASCII ``word``."""
-    match = ends - starts == len(word)
-    for offset, byte in enumerate(word.encode()):
-        match &= buf[np.minimum(starts + offset, len(buf) - 1)] == byte
-    return match
+def _phase_codes(buf, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Each field ``buf[starts[i]:ends[i]]``'s index in ``PHASES`` (0 if it
+    names none), and whether it names one.
+
+    A name, at most 8 ASCII bytes, is matched by reading the 8 bytes from
+    each field start as one little-endian uint64 and comparing them under
+    the name's byte mask. A field as long as a name has 8 bytes from its
+    start: its separator, the last field and a newline follow it.
+    """
+    windows = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    head = windows[np.minimum(starts, len(windows) - 1)]
+    lengths = ends - starts
+    codes = np.zeros(len(starts), dtype=np.uint8)
+    named = np.zeros(len(starts), dtype=bool)
+    for code, name in enumerate(PHASES):
+        text = name.encode()
+        mask, word = np.uint64(256 ** len(text) - 1), np.uint64(int.from_bytes(text, "little"))
+        match = ((head & mask) == word) & (lengths == len(text))
+        codes[match] = code
+        named |= match
+    return codes, named
 
 
-def _require_nonempty(trace: SparsityTrace) -> dict[str, np.ndarray]:
+def _require_nonempty(trace: SparsityTrace, *names: str) -> dict[str, np.ndarray]:
+    """The named integer columns of a non-empty trace, read by attribute so
+    that no phase strings are decoded."""
     if len(trace) == 0:
         raise ContractError("empty trace")
-    return trace.arrays()
+    return {name: np.asarray(getattr(trace, name)) for name in names}
 
 
 def _cell_index(arr: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -326,16 +393,19 @@ def avg_k(trace: SparsityTrace, group_by: str = "overall") -> dict:
 
     Group keys: overall, layer, token_position, phase, token_id, and
     token_layer (per-cell counts keyed by (sequence, position, layer),
-    the heatmap data).
+    the heatmap data). Keys come in ascending order (phase names
+    alphabetically). The cell index is the trace's cached one, so calls
+    between two ``record_cell`` calls compute it once.
     """
     if group_by not in GROUP_KEYS:
         raise ContractError(f"unknown group key {group_by!r}; valid: {GROUP_KEYS}")
-    arr = _require_nonempty(trace)
-    cells, inverse = _cell_index(arr)
+    _require_nonempty(trace)
+    arr = trace._consolidated()  # phase as codes
+    cells, inverse = trace._cached_cell_index()
     counts = np.bincount(inverse, weights=arr["mask_bit"].astype(np.float64))
 
     if group_by == "token_layer":
-        return dict(zip(map(tuple, cells.tolist()), counts.tolist()))
+        return dict(zip(zip(*cells.T.tolist()), counts.tolist()))
     if group_by == "overall":
         return {"overall": float(counts.mean())}
 
@@ -346,19 +416,16 @@ def avg_k(trace: SparsityTrace, group_by: str = "overall") -> dict:
         # phase / token_id are rank-row attributes, constant within a cell
         first_row = np.zeros(len(cells), dtype=np.int64)
         first_row[inverse[::-1]] = np.arange(len(arr["rank"]))[::-1]
-        field = arr["phase"] if group_by == "phase" else arr["token_id"]
-        cell_keys = field[first_row]
-    out: dict = {}
-    for key in np.unique(cell_keys):
-        sel = cell_keys == key
-        label = str(key) if group_by == "phase" else int(key)
-        out[label] = float(counts[sel].mean())
-    return out
+        cell_keys = arr[group_by][first_row]
+    means = {key: float(counts[cell_keys == key].mean()) for key in np.unique(cell_keys).tolist()}
+    if group_by == "phase":  # codes to names, in the order np.unique gives the names
+        return {PHASES[code]: means[code] for code in sorted(means, key=PHASES.__getitem__)}
+    return means
 
 
 def position_mask_prob(trace: SparsityTrace) -> dict[int, float]:
     """Per routing rank, the fraction of cells whose slot was masked off."""
-    arr = _require_nonempty(trace)
+    arr = _require_nonempty(trace, "rank", "mask_bit")
     out = {}
     for rank in range(1, trace.k + 1):
         sel = arr["rank"] == rank
@@ -372,7 +439,7 @@ def rank_extremes(trace: SparsityTrace) -> dict[int, tuple[int | None, int | Non
     Overlap (min_masked <= max_kept) means masking ignores routing rank.
     A layer that never masks reports None for the masked side.
     """
-    arr = _require_nonempty(trace)
+    arr = _require_nonempty(trace, "layer", "rank", "mask_bit")
     out = {}
     for layer in np.unique(arr["layer"]):
         sel = arr["layer"] == layer
@@ -391,7 +458,7 @@ def expert_load(trace: SparsityTrace) -> tuple[dict[int, float], dict[int, float
     Null slots (expert_id -1) are not routed work and are excluded. Each
     distribution sums to 1 when any slot qualifies.
     """
-    arr = _require_nonempty(trace)
+    arr = _require_nonempty(trace, "expert_id", "mask_bit")
     routed = arr["expert_id"] >= 0
     kept = routed & (arr["mask_bit"] == 1)
 
@@ -466,10 +533,21 @@ def flops_reduction(model: FlopsModel) -> FlopsReport:
 REPORT_HEADER = ["metric", "group", "value"]
 
 
-def _group_label(key) -> str:
-    if isinstance(key, tuple):
-        return "/".join(map(str, key))
-    return str(key)
+class _LabelFormats(dict):
+    """``"%s/%s/.../%s"`` by tuple length, made on first use."""
+
+    def __missing__(self, length: int) -> str:
+        self[length] = text = "/".join(["%s"] * length)
+        return text
+
+
+_LABEL_FORMATS = _LabelFormats()
+
+
+def _group_labels(keys) -> list[str]:
+    """Each group key's label: a tuple's items joined by "/", else ``str(key)``."""
+    formats = _LABEL_FORMATS
+    return [formats[len(key)] % key if isinstance(key, tuple) else str(key) for key in keys]
 
 
 def _value_text(value) -> str:
@@ -483,22 +561,25 @@ def emit_report(metrics: dict[str, dict], fmt: str, path) -> None:
     identical files. ``parse_report`` inverts the CSV form.
     """
     if fmt == "csv":
+        rows = [REPORT_HEADER]
+        for metric in sorted(metrics):
+            groups = metrics[metric]
+            # one label per group, sorted stably by label
+            labelled = zip(repeat(str(metric)), _group_labels(groups), map(_value_text, groups.values()))
+            rows += sorted(labelled, key=itemgetter(1))
+        text = "\r\n".join(map(",".join, rows)) + "\r\n"
+        # csv.writer quotes a field holding a separator, a quote or a line end
+        plain = '"' not in text and text.count(",") == 2 * len(rows)
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(REPORT_HEADER)
-            for metric in sorted(metrics):
-                groups = metrics[metric]
-                # one label per group, sorted stably by label
-                rows = zip(repeat(metric), map(_group_label, groups), map(_value_text, groups.values()))
-                w.writerows(sorted(rows, key=itemgetter(1)))
+            if plain and text.count("\r") == text.count("\n") == len(rows):
+                f.write(text)
+            else:
+                csv.writer(f).writerows(rows)
     elif fmt == "json":
-        payload = {
-            metric: {
-                _group_label(k): (None if v is None else float(v))
-                for k, v in groups.items()
-            }
-            for metric, groups in metrics.items()
-        }
+        payload = {}
+        for metric, groups in metrics.items():
+            values = (None if v is None else float(v) for v in groups.values())
+            payload[metric] = dict(zip(_group_labels(groups), values))
         with open(path, "w") as f:
             json.dump(payload, f, sort_keys=True, indent=2)
             f.write("\n")

@@ -121,6 +121,9 @@ def resolve_config(raw: dict) -> dict:
         corpus.setdefault("seed", 7)
     elif "path" not in corpus:
         raise ConfigError("corpus: missing required field 'path'")
+    for where, section in (("model", model), ("train", train_sec), ("corpus", corpus)):
+        if section.get("seed", 0) < 0:
+            raise ConfigError(f"{where}.seed must be >= 0, got {section['seed']!r}")
 
     trace_sampling = raw.get("trace_sampling", 1.0)
     _check_value(trace_sampling, float, "trace_sampling")
@@ -333,6 +336,8 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     if not seeds:
         raise ConfigError("--seeds names no seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be >= 0, got {args.seeds!r}")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds names a seed twice: {args.seeds!r}")
     labels = [Path(p).stem for p in args.configs]

@@ -141,6 +141,8 @@ def bench_dispatch(
     for name, value in sizes.items():
         if value < 1:
             raise ContractError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if not active_fractions:
         raise ContractError("active_fractions names no fraction")
     for f in active_fractions:

@@ -89,10 +89,20 @@ class TrainConfig:
     beta: float = 0.0  # sparsity coefficient
     batch_size: int = 8
     steps: int = 200
-    grad_clip_norm: float = 1.0
+    grad_clip_norm: float = 1.0  # 0 turns clipping off
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ContractError(f"{f.name} must be finite, got {value!r}")
+        if self.learning_rate <= 0:
+            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        if self.grad_clip_norm < 0:
+            raise ContractError(
+                f"grad_clip_norm must be >= 0 (0 turns clipping off), got {self.grad_clip_norm!r}"
+            )
         if self.alpha < 0 or self.beta < 0:
             raise ContractError("alpha and beta must be non-negative")
         if not 0.0 <= self.warmup_ratio < 1.0:

@@ -11,6 +11,14 @@
 - ``reference_from_csv``, the ``csv.reader`` loop that parsed trace files
   one row at a time: the column-at-a-time ``SparsityTrace.from_csv`` is
   checked against it on mutated files.
+- ``reference_to_csv``, the trace writer that tabled every column's
+  field texts through ``np.unique``, phase strings included: the
+  ``SparsityTrace.to_csv`` that tables phase by its codes and an integer
+  column by its value range must write the same bytes.
+- ``reference_group_label`` and ``reference_emit_report``, the report
+  writer that joined each tuple label with ``"/".join(map(str, key))``
+  and wrote every row through ``csv.writer``: ``emit_report`` must write
+  the same CSV and JSON bytes.
 - ``reference_sigmoid_np``, the branching sigmoid: the branch-free
   ``sigmoid_np`` must equal it bit for bit.
 - ``reference_softmax_np``, the masked softmax that zeroed masked entries
@@ -65,10 +73,12 @@ import csv
 import json
 import struct
 import zlib
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
-from beamoe.analysis import GROUP_KEYS, PHASES, TRACE_HEADER, SparsityTrace
+from beamoe.analysis import GROUP_KEYS, PHASES, REPORT_HEADER, TRACE_HEADER, SparsityTrace
 from beamoe.baselines import (
     RouteResult,
     RoutingStrategy,
@@ -252,6 +262,53 @@ def reference_from_csv(path) -> SparsityTrace:
         trace._columns = {name: columns[name] for name in TRACE_HEADER}
         trace._rows = len(phases)
     return trace
+
+
+def reference_to_csv(trace, path) -> None:
+    """Write ``trace.arrays()`` as CSV, each column's distinct values
+    formatted once after one ``np.unique`` per column."""
+    columns = trace.arrays()
+    texts, codes = [], []
+    for name in TRACE_HEADER:
+        end = "\r\n" if name == TRACE_HEADER[-1] else ","
+        values, inverse = np.unique(columns[name], return_inverse=True)
+        texts.append(np.array([f"{v}{end}" for v in values.tolist()], dtype=object))
+        codes.append(inverse)
+    with open(path, "w", newline="") as f:
+        f.write(",".join(TRACE_HEADER) + "\r\n")
+        if len(trace):
+            fields = np.column_stack([text[code] for text, code in zip(texts, codes)])
+            f.write("".join(fields.ravel().tolist()))
+
+
+def reference_group_label(key) -> str:
+    if isinstance(key, tuple):
+        return "/".join(map(str, key))
+    return str(key)
+
+
+def reference_emit_report(metrics: dict[str, dict], fmt: str, path) -> None:
+    """``emit_report`` with one ``csv.writer`` row and one label call per group."""
+    if fmt == "csv":
+        with open(path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(REPORT_HEADER)
+            for metric in sorted(metrics):
+                groups = metrics[metric]
+                rows = zip(
+                    repeat(metric),
+                    map(reference_group_label, groups),
+                    ("" if v is None else repr(float(v)) for v in groups.values()),
+                )
+                w.writerows(sorted(rows, key=itemgetter(1)))
+    else:
+        payload = {
+            metric: {reference_group_label(k): (None if v is None else float(v)) for k, v in groups.items()}
+            for metric, groups in metrics.items()
+        }
+        with open(path, "w") as f:
+            json.dump(payload, f, sort_keys=True, indent=2)
+            f.write("\n")
 
 
 def reference_sigmoid_np(x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,10 @@ from reference_ops import (
     ListSparsityTrace,
     record_routes_per_cell,
     reference_avg_k,
+    reference_emit_report,
     reference_from_csv,
+    reference_group_label,
+    reference_to_csv,
     unique_cell_index,
 )
 
@@ -754,3 +757,161 @@ class TestColumnarTraceOracle:
         shared = SparsityTrace()
         shared.record_cell(3, pos, 1, ids, bits, "decode", tok)
         assert shared.sequence_id.tolist() == [3] * (n * k)
+
+
+def record_rows(columns: dict) -> SparsityTrace:
+    """A trace with one single-rank cell per entry of ``columns``."""
+    trace = SparsityTrace()
+    for i, phase in enumerate(columns["phase"]):
+        trace.record_cell(
+            columns["sequence_id"][i], columns["position"][i], 0, [columns["expert_id"][i]],
+            [columns["mask_bit"][i]], phase, columns["token_id"][i],
+        )
+    return trace
+
+
+PHASE_MIXES = {
+    "prefill-only": ["prefill"] * 6,
+    "decode-only": ["decode"] * 6,
+    "mixed": ["decode", "prefill", "prefill", "decode", "prefill", "decode"],
+}
+
+
+def phase_trace(phases, k=3, seed=0) -> tuple[SparsityTrace, ListSparsityTrace]:
+    """The same cells, one per phase entry, in a columnar and a list trace."""
+    rng = np.random.default_rng(seed)
+    trace, reference = SparsityTrace(), ListSparsityTrace()
+    for i, phase in enumerate(phases):
+        ids, bits = rng.permutation(8)[:k], rng.integers(0, 2, k)
+        for t in (trace, reference):
+            t.record_cell(i // 2, i, i % 2, ids, bits, phase, int(rng.integers(0, 5)))
+    return trace, reference
+
+
+class TestDistinctValueTables:
+    """The trace as value tables: phase stored as codes, CSV text tabled per
+    value range, one cell index per consolidation and tuple labels by
+    format, against the writers they replaced."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 10**6, 3, 10**9, 7],  # range above the row count: np.unique
+            [-5, -3, -4, -5, -1],  # negative values, range table
+            [-(2**63), 2**63 - 1, 0, -1, 1],  # int64 extremes, range above the row count
+            [2**63 - 1, 2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63 - 3],  # range table at the top
+            [-(2**63), -(2**63) + 2, -(2**63) + 1, -(2**63), -(2**63) + 2],  # and at the bottom
+        ],
+        ids=["wide", "negative", "extremes", "near-max", "near-min"],
+    )
+    @pytest.mark.parametrize("column", ["sequence_id", "position", "expert_id", "token_id"])
+    def test_csv_bytes_equal_unique_writer(self, tmp_path, column, values):
+        rng = np.random.default_rng(5)
+        columns = {name: rng.integers(0, 3, 5) for name in ("sequence_id", "position", "expert_id", "token_id")}
+        columns[column] = np.array(values, dtype=np.int64)
+        columns["mask_bit"] = rng.integers(0, 2, 5)
+        columns["phase"] = ["prefill", "decode", "prefill", "prefill", "decode"]
+        trace = record_rows(columns)
+        trace.to_csv(tmp_path / "new.csv")
+        reference_to_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_same_columns(SparsityTrace.from_csv(tmp_path / "new.csv").arrays(), trace.arrays())
+
+    def test_unique_only_for_wide_ranges(self, tmp_path, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def spy(a, **kwargs):
+            calls.append(a.copy())
+            return unique(a, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        rng = np.random.default_rng(6)
+        trace = SparsityTrace()
+        n = 40
+        trace.record_cell(
+            rng.integers(0, 4, n), rng.integers(0, 64, n), 1, rng.integers(-1, 8, (n, 4)),
+            rng.integers(0, 2, (n, 4)), "prefill", rng.integers(0, 10**6, n),
+        )
+        trace.to_csv(tmp_path / "t.csv")
+        # the token ids span more values than the trace has rows; nothing else does
+        assert len(calls) == 1 and np.array_equal(calls[0], trace.token_id)
+
+    @pytest.mark.parametrize("mix", sorted(PHASE_MIXES))
+    def test_phase_stored_as_codes_and_decoded_as_before(self, tmp_path, mix):
+        trace, reference = phase_trace(PHASE_MIXES[mix])
+        want = reference.arrays()["phase"]  # np.asarray of the strings
+        trace.to_csv(tmp_path / "t.csv")
+        parsed = SparsityTrace.from_csv(tmp_path / "t.csv")
+        for got in (trace, parsed):
+            assert got._consolidated()["phase"].dtype == np.uint8
+            assert got.arrays()["phase"].dtype == want.dtype
+            assert np.array_equal(got.arrays()["phase"], want)
+            assert got.phase.dtype == want.dtype
+        reference_to_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_phase_dtype(self, tmp_path):
+        trace = SparsityTrace()
+        trace.to_csv(tmp_path / "t.csv")
+        for got in (trace, SparsityTrace.from_csv(tmp_path / "t.csv")):
+            assert got.arrays()["phase"].dtype == np.dtype("<U1")
+            assert got.phase.shape == (0,)
+
+    @pytest.mark.parametrize("mix", sorted(PHASE_MIXES))
+    def test_avg_k_by_phase_unchanged(self, tmp_path, mix):
+        trace, reference = phase_trace(PHASE_MIXES[mix], seed=2)
+        trace.to_csv(tmp_path / "t.csv")
+        want = reference_avg_k(reference, "phase")
+        for got in (avg_k(trace, "phase"), avg_k(SparsityTrace.from_csv(tmp_path / "t.csv"), "phase")):
+            assert list(got.items()) == list(want.items())
+            assert all(type(key) is str for key in got)
+
+    def test_one_cell_index_per_consolidation(self, monkeypatch):
+        calls = []
+
+        def spy(arr):
+            calls.append(arr)
+            return _cell_index(arr)
+
+        monkeypatch.setattr(analysis, "_cell_index", spy)
+        trace, reference = phase_trace(PHASE_MIXES["mixed"])
+        assert avg_k(trace) == reference_avg_k(reference)
+        assert avg_k(trace, "token_layer") == reference_avg_k(reference, "token_layer")
+        assert len(calls) == 1
+        for t in (trace, reference):
+            t.record_cell(9, 9, 0, [1, 2, 3], [1, 1, 0], "decode", 4)
+        assert avg_k(trace, "token_layer") == reference_avg_k(reference, "token_layer")
+        assert avg_k(trace, "layer") == reference_avg_k(reference, "layer")
+        assert len(calls) == 2
+
+    METRICS = {
+        "tuple3": {(0, 1, 2): 1.0, (0, 10, 1): 2.5, (3, 2, 0): None, (0, 2, 1): 0.1},
+        "tuple2": {(1, 2): 3.0, (1, 10): 0.5, (-1, 2): 1e-300},
+        "tuple1": {(7,): 4.0, (11,): 0.0},
+        "str": {"prefill": 2.0, "decode": None, "overall": 1.25},
+        "int": {3: 1, 10: 2, -1: 0.75},
+        "mixed": {(1, 2): 1.0, (1,): 2.0, 5: None, "a": 3.5},
+    }
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            METRICS,
+            {},
+            {"empty": {}, "one": {"x": 1.0}},
+            # fields csv.writer must quote
+            {"q": {"a,b": 1.0, 'say "hi"': 2.0, "two\nlines": None, ("a,b", 1): 0.5}},
+            {"metric,name": {1: 1.0}, "cr": {"x\ry": 1.0}},
+        ],
+        ids=["labels", "no-metrics", "empty-group", "quoted-labels", "quoted-metric"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_bytes_equal_label_writer(self, tmp_path, metrics, fmt):
+        emit_report(metrics, fmt, tmp_path / "new")
+        reference_emit_report(metrics, fmt, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    def test_label_formats(self):
+        keys = [(1,), (1, 2), (1, 2, 3), (), "s", 4, (np.int64(5), "x")]
+        assert analysis._group_labels(keys) == [reference_group_label(key) for key in keys]

@@ -147,6 +147,45 @@ class TestConfigValidation:
         assert captured.out == ""
         assert not (Path(cfg["output_dir"]) / "checkpoint.bin").exists()
 
+    # each value has the right JSON type but lies outside its key's range:
+    # the run stops before training and the error names the key
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"train": {"learning_rate": -1.0}}, "learning_rate must be > 0, got -1.0"),
+            ({"train": {"learning_rate": 0}}, "learning_rate must be > 0, got 0"),
+            ({"train": {"learning_rate": float("inf")}}, "learning_rate must be finite, got inf"),
+            ({"train": {"alpha": float("nan")}}, "alpha must be finite, got nan"),
+            ({"train": {"beta": float("-inf")}}, "beta must be finite, got -inf"),
+            ({"train": {"warmup_ratio": float("nan")}}, "warmup_ratio must be finite, got nan"),
+            ({"train": {"grad_clip_norm": float("inf")}}, "grad_clip_norm must be finite, got inf"),
+            ({"train": {"grad_clip_norm": -1.0}}, "grad_clip_norm must be >= 0 (0 turns clipping off), got -1.0"),
+            ({"model": {"seed": -1}}, "model.seed must be >= 0, got -1"),
+            ({"train": {"seed": -1}}, "train.seed must be >= 0, got -1"),
+            ({"corpus": {"kind": "synthetic", "seed": -1}}, "corpus.seed must be >= 0, got -1"),
+        ],
+        ids=[
+            "negative-learning_rate",
+            "zero-learning_rate",
+            "infinite-learning_rate",
+            "nan-alpha",
+            "infinite-beta",
+            "nan-warmup_ratio",
+            "infinite-grad_clip_norm",
+            "negative-grad_clip_norm",
+            "negative-model-seed",
+            "negative-train-seed",
+            "negative-corpus-seed",
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_its_key(self, tmp_path, capsys, overrides, message):
+        path, cfg = write_config(tmp_path, **overrides)
+        assert main(["train", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (Path(cfg["output_dir"]) / "checkpoint.bin").exists()
+
     def test_typed_values_accepted(self):
         # a null vocab_size resolves from the corpus, and an integer is a
         # real number
@@ -479,6 +518,12 @@ class TestBenchCommand:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["bench-dispatch", "--reps", "1", "--seed", "-1"] + self.SMALL) == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
 
 class TestCompareCommand:
     @pytest.mark.slow
@@ -542,6 +587,12 @@ class TestCompareCommand:
         cfg, _ = write_config(tmp_path)
         assert main(["compare", str(cfg), "--seeds", "0,0", "--out", str(tmp_path / "c")]) == 2
         assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path)
+        assert main(["compare", str(cfg), "--seeds", "0,-1", "--out", str(tmp_path / "c")]) == 2
+        assert "--seeds must be >= 0, got '0,-1'" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     def test_configs_sharing_a_file_stem_exit_2(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -371,20 +373,51 @@ def _require_nonempty(trace: SparsityTrace, *names: str) -> dict[str, np.ndarray
     return {name: np.asarray(getattr(trace, name)) for name in names}
 
 
+def _combined_key(keys: list[np.ndarray]) -> np.ndarray | None:
+    """One unsigned integer per row that orders the rows as their key tuples
+    do: ``((k0 - min) * span1 + (k1 - min)) * span2 + ...``, in the narrowest
+    dtype that holds the product of the keys' value spans. None when the
+    rows are empty or that product reaches 2**63."""
+    if not len(keys[0]):
+        return None
+    lows = [int(key.min()) for key in keys]
+    spans = [int(key.max()) - low + 1 for key, low in zip(keys, lows)]
+    product = math.prod(spans)
+    if product >= 2**63:
+        return None
+    # every span, and so every factor below, fits the dtype that holds the product
+    combined = np.empty(len(keys[0]), dtype=np.min_scalar_type(product))
+    part = np.empty_like(combined)
+    np.subtract(keys[0], lows[0], out=combined, casting="unsafe")
+    for key, low, span in zip(keys[1:], lows[1:], spans[1:]):
+        combined *= span
+        np.subtract(key, low, out=part, casting="unsafe")
+        combined += part
+    return combined
+
+
 def _cell_index(arr: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Unique (sequence, position, layer) cells in lexicographic order, and
     each row's cell number: what ``np.unique(keys, axis=0,
-    return_inverse=True)`` gives, by one ``lexsort`` and a boundary diff."""
-    keys = (arr["sequence_id"], arr["position"], arr["layer"])
-    order = np.lexsort(keys[::-1])
-    sorted_keys = [key[order] for key in keys]
+    return_inverse=True)`` gives, by one stable sort of ``_combined_key``
+    (``lexsort`` of the three columns when the key would not fit) and a
+    boundary diff."""
+    keys = [arr["sequence_id"], arr["position"], arr["layer"]]
+    combined = _combined_key(keys)
+    if combined is None:
+        order = np.lexsort(keys[::-1])
+        sorted_keys = [key[order] for key in keys]
+    else:
+        order = np.argsort(combined, kind="stable")
+        sorted_keys = [combined[order]]
     starts = np.zeros(len(order), dtype=bool)
     starts[:1] = True
     for key in sorted_keys:
         starts[1:] |= key[1:] != key[:-1]
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(starts) - 1
-    cells = np.stack([key[starts] for key in sorted_keys], axis=1)
+    first = order[starts]
+    cells = np.stack([key[first] for key in keys], axis=1)
     return cells, inverse
 
 
@@ -550,6 +583,16 @@ def _group_labels(keys) -> list[str]:
     return [formats[len(key)] % key if isinstance(key, tuple) else str(key) for key in keys]
 
 
+def _distinct_labels(metric, groups) -> list[str]:
+    """``_group_labels`` of one metric's groups; two groups with one label
+    (``5`` and ``"5"``) raise, since a report would keep only one of them."""
+    labels = _group_labels(groups)
+    if len(set(labels)) < len(labels):
+        label = next(label for label, count in Counter(labels).items() if count > 1)
+        raise ContractError(f"metric {metric!r} has two groups labelled {label!r}")
+    return labels
+
+
 def _value_text(value) -> str:
     return "" if value is None else repr(float(value))
 
@@ -558,14 +601,16 @@ def emit_report(metrics: dict[str, dict], fmt: str, path) -> None:
     """Write {metric: {group: value}} as CSV or JSON.
 
     Field order is sorted and stable, so identical metrics produce byte-
-    identical files. ``parse_report`` inverts the CSV form.
+    identical files. ``parse_report`` inverts the CSV form. Two groups of one
+    metric with one label raise ``ContractError`` before anything is written.
     """
     if fmt == "csv":
         rows = [REPORT_HEADER]
         for metric in sorted(metrics):
             groups = metrics[metric]
             # one label per group, sorted stably by label
-            labelled = zip(repeat(str(metric)), _group_labels(groups), map(_value_text, groups.values()))
+            labels = _distinct_labels(metric, groups)
+            labelled = zip(repeat(str(metric)), labels, map(_value_text, groups.values()))
             rows += sorted(labelled, key=itemgetter(1))
         text = "\r\n".join(map(",".join, rows)) + "\r\n"
         # csv.writer quotes a field holding a separator, a quote or a line end
@@ -579,7 +624,7 @@ def emit_report(metrics: dict[str, dict], fmt: str, path) -> None:
         payload = {}
         for metric, groups in metrics.items():
             values = (None if v is None else float(v) for v in groups.values())
-            payload[metric] = dict(zip(_group_labels(groups), values))
+            payload[metric] = dict(zip(_distinct_labels(metric, groups), values))
         with open(path, "w") as f:
             json.dump(payload, f, sort_keys=True, indent=2)
             f.write("\n")

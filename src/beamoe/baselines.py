@@ -193,6 +193,7 @@ def route(
         k = n
     dec = topk_route(x_norm, block.router_w, k)  # ada_moe: over N + null columns
     ids = dec.topk_indices
+    rows = np.arange(len(ids))[:, None]  # indexes each token's candidates
     weights_hat = dec.weights
     balance_active = dec.keep
     bits = np.ones(ids.shape, dtype=np.int64)
@@ -201,7 +202,7 @@ def route(
     if kind == "moe_dynamic":
         balance_active = dynamic_select(dec.weights.data, p["phi"])
         weights_hat = softmax(dec.logits, balance_active)
-        bits = np.take_along_axis(balance_active, ids, axis=-1).astype(np.int64)
+        bits = balance_active[rows, ids].astype(np.int64)
     elif kind == "ada_moe":
         real = ids < n
         weights_hat = slice_cols(weights_hat, 0, n)
@@ -221,7 +222,7 @@ def route(
         # a soft mask left soft at inference only rescales weights: every
         # candidate runs
         if training or hard:
-            bits = np.take_along_axis(maskdec.binary_mask, ids, axis=-1)
+            bits = maskdec.binary_mask[rows, ids]
 
     return RouteResult(
         weights_hat=weights_hat,

@@ -75,18 +75,25 @@ def grouped_execute(
 
     Output equals the naive per-token loop: tokens absent from the plan get
     zero contribution, and per-token accumulation follows ascending expert
-    id. The weights' nonzero pattern must agree with the plan.
+    id. The weights' nonzero pattern must agree with the plan: all slots are
+    checked before any expert runs, and a zero-weight slot is reported at the
+    lowest expert that holds one.
     """
     if int(np.count_nonzero(weights_hat)) != plan.total_real:
         raise ContractError("weights_hat nonzero count disagrees with plan slots")
+    offsets = plan.offsets
+    slot_expert = np.repeat(np.arange(plan.num_experts), offsets[1:] - offsets[:-1])
+    weights = weights_hat[plan.token_order, slot_expert]
+    zero = np.flatnonzero(weights == 0.0)
+    if zero.size:
+        raise ContractError(f"plan routes a zero-weight slot to expert {slot_expert[zero[0]]}")
     y = np.zeros_like(h)
-    for e, rows in expert_runs(plan.offsets, plan.token_order):
-        w = weights_hat[rows, e]
-        if np.any(w == 0.0):
-            raise ContractError(f"plan routes a zero-weight slot to expert {e}")
+    bounds = offsets.tolist()
+    for e, rows in expert_runs(offsets, plan.token_order):
         out = expert_forward_np(h[rows], experts[e], activation)
+        out *= weights[bounds[e] : bounds[e + 1], None]
         # group_slots makes rows unique within one expert, so fancy-index += is safe
-        y[rows] += out * w[:, None]
+        y[rows] += out
     return y
 
 

@@ -26,7 +26,6 @@ from .tensor import (
 
 
 ACTIVATIONS = {"silu": silu, "identity": lambda x: x}
-ACTIVATIONS_NP = {"silu": lambda x: x * sigmoid_np(x), "identity": lambda x: x}
 
 
 def _silu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,10 +92,19 @@ def expert_forward(x: Tensor, expert: Expert, activation: str = "silu") -> Tenso
 
 
 def expert_forward_np(x: np.ndarray, expert: Expert, activation: str = "silu") -> np.ndarray:
-    # Inference fast path; mirrors expert_forward op for op so results are
-    # bit-identical to the taped version.
-    act = ACTIVATIONS_NP[activation]
-    return (act(x @ expert.w_gate.data) * (x @ expert.w_up.data)) @ expert.w_down.data
+    # Inference fast path, one hidden buffer. It mirrors expert_forward op for
+    # op (an IEEE product commutes), so results are bit-identical to the
+    # taped version.
+    gate = x @ expert.w_gate.data
+    if activation == "silu":
+        hidden = sigmoid_np(gate)
+        hidden *= gate
+    elif activation == "identity":
+        hidden = gate
+    else:
+        raise ContractError(f"unknown activation {activation!r}")
+    hidden *= x @ expert.w_up.data
+    return hidden @ expert.w_down.data
 
 
 @dataclass
@@ -132,7 +140,7 @@ def topk_route(x: Tensor, router_weights: Tensor, k: int) -> RouterDecision:
     logits = matmul(x, router_weights)
     idx = topk_select(logits.data, k)
     keep = np.zeros(logits.shape, dtype=bool)
-    np.put_along_axis(keep, idx, True, axis=-1)
+    keep[np.arange(len(idx))[:, None], idx] = True
     weights = softmax(logits, keep)
     return RouterDecision(logits=logits, topk_indices=idx, weights=weights, keep=keep)
 

@@ -15,6 +15,7 @@ reset grads between steps.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -399,6 +400,16 @@ def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
     return out
 
 
+@lru_cache(maxsize=128)
+def causal_masks(t: int, tq: int) -> tuple[np.ndarray, np.ndarray]:
+    """(seen, future) of the last ``tq`` of ``t`` positions: query i sees keys
+    0..t - tq + i. Cached per shape, so both arrays are read-only."""
+    seen = np.tri(t, dtype=bool)[t - tq :]
+    future = ~seen
+    seen.flags.writeable = future.flags.writeable = False
+    return seen, future
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head causal self-attention as one tape node.
 
@@ -438,8 +449,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         return z.transpose(0, 2, 1, 3).reshape(b, n, d)
 
     q_h, k_h, v_h = split(q.data, tq), split(k.data, t), split(v.data, t)
-    seen = np.tri(t, dtype=bool)[t - tq :]
-    future = ~seen
+    seen, future = causal_masks(t, tq)
     y = np.matmul(q_h, k_h.swapaxes(-1, -2))
     y *= scale
     y -= y.max(axis=-1, keepdims=True, where=seen, initial=-np.inf)
@@ -489,7 +499,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     """Root-mean-square normalization over the last axis with learnable scale."""
     x, weight = _as_tensor(x), _as_tensor(weight)
     d = x.data.shape[-1]
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True) + eps
+    # the sum and divide that numpy's mean runs, without its Python wrapper
+    ms = (x.data * x.data).sum(axis=-1, keepdims=True) / d + eps
     inv = ms**-0.5
     normed = x.data * inv
     out = Tensor._raw(normed * weight.data, x.requires_grad or weight.requires_grad)

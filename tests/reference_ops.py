@@ -8,6 +8,10 @@
 - A list-based sparsity trace, its per-cell recording loop and its
   ``np.unique`` cell index: the columnar ``SparsityTrace`` and ``avg_k``
   are checked against them.
+- ``lexsort_cell_index``, the cell index by a ``lexsort`` of the three key
+  columns: ``_cell_index``, which sorts one combined key and falls back to
+  ``lexsort`` only when that key would not fit, must give the same cells
+  and inverse.
 - ``reference_from_csv``, the ``csv.reader`` loop that parsed trace files
   one row at a time: the column-at-a-time ``SparsityTrace.from_csv`` is
   checked against it on mutated files.
@@ -49,6 +53,13 @@
   ``baselines.route``, which runs every masked kind through
   ``beam.mask_forward`` and reuses ``topk_route``'s top-k set, must equal it
   bit for bit, gradients included.
+- The inference path as it ran before its per-call overhead was cut:
+  ``reference_grouped_execute`` (per-expert weight gather and zero check, a
+  separate weighting product), ``reference_expert_forward_np`` (a fresh
+  array per product), ``reference_causal_masks`` (``np.tri`` on every call),
+  ``reference_rms_norm_np`` (``mean``) and ``reference_topk_keep`` /
+  ``reference_candidate_bits`` (``put_along_axis`` / ``take_along_axis``).
+  The library's versions must equal them bit for bit, signs of zero included.
 - ``check_gradient``, the central-difference check of tape gradients
   (criterion 3's oracle).
 - ``reference_group_slots``, the (T, N) boolean scatter split at the expert
@@ -87,7 +98,15 @@ from beamoe.baselines import (
     temperature_at,
 )
 from beamoe.beam import MaskDecision, mask_forward
-from beamoe.moe import MoEBlock, RouterDecision, balance_loss_from, topk_route, topk_select
+from beamoe.moe import (
+    Expert,
+    MoEBlock,
+    RouterDecision,
+    balance_loss_from,
+    expert_runs,
+    topk_route,
+    topk_select,
+)
 from beamoe.tensor import (
     ContractError,
     NumericError,
@@ -437,6 +456,22 @@ def unique_cell_index(arr: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return uniq, inverse
 
 
+def lexsort_cell_index(arr: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Unique (sequence, position, layer) cells and each row's cell number, by
+    a ``lexsort`` of the three columns and a boundary diff over each."""
+    keys = (arr["sequence_id"], arr["position"], arr["layer"])
+    order = np.lexsort(keys[::-1])
+    sorted_keys = [key[order] for key in keys]
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in sorted_keys:
+        starts[1:] |= key[1:] != key[:-1]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    cells = np.stack([key[starts] for key in sorted_keys], axis=1)
+    return cells, inverse
+
+
 def reference_avg_k(trace, group_by: str = "overall") -> dict:
     """``analysis.avg_k`` over ``unique_cell_index``, one cell at a time."""
     if group_by not in GROUP_KEYS:
@@ -727,6 +762,51 @@ def reference_dynamic_route(block, x_norm, strategy, training, *args, **kwargs) 
         candidate_ids=order,
         active_bits=np.take_along_axis(active, order, axis=-1).astype(np.int64),
     )
+
+
+def reference_expert_forward_np(x: np.ndarray, expert: Expert, activation: str = "silu") -> np.ndarray:
+    """act(x @ W_gate) * (x @ W_up) @ W_down, each product a fresh array."""
+    act = {"silu": lambda z: z * sigmoid_np(z), "identity": lambda z: z}[activation]
+    return (act(x @ expert.w_gate.data) * (x @ expert.w_up.data)) @ expert.w_down.data
+
+
+def reference_grouped_execute(h, plan, experts, weights_hat, activation="silu"):
+    """Each expert's weights gathered and checked for zeros as it runs, its
+    output weighted by a separate product before the scatter."""
+    if int(np.count_nonzero(weights_hat)) != plan.total_real:
+        raise ContractError("weights_hat nonzero count disagrees with plan slots")
+    y = np.zeros_like(h)
+    for e, rows in expert_runs(plan.offsets, plan.token_order):
+        w = weights_hat[rows, e]
+        if np.any(w == 0.0):
+            raise ContractError(f"plan routes a zero-weight slot to expert {e}")
+        out = reference_expert_forward_np(h[rows], experts[e], activation)
+        y[rows] += out * w[:, None]
+    return y
+
+
+def reference_causal_masks(t: int, tq: int) -> tuple[np.ndarray, np.ndarray]:
+    """(seen, future) of the last tq of t positions, built by ``np.tri``."""
+    seen = np.tri(t, dtype=bool)[t - tq :]
+    return seen, ~seen
+
+
+def reference_rms_norm_np(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """The forward value of ``rms_norm``, its mean square taken by ``mean``."""
+    ms = (x * x).mean(axis=-1, keepdims=True) + eps
+    return x * ms**-0.5 * weight
+
+
+def reference_topk_keep(idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The boolean top-k set of (T, k) indices, set by ``put_along_axis``."""
+    keep = np.zeros(shape, dtype=bool)
+    np.put_along_axis(keep, idx, True, axis=-1)
+    return keep
+
+
+def reference_candidate_bits(active: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each candidate slot's entry of a (T, N) array, by ``take_along_axis``."""
+    return np.take_along_axis(active, ids, axis=-1)
 
 
 def reference_write_trace(rows, path) -> None:

@@ -24,6 +24,7 @@ from beamoe.tensor import ContractError
 
 from reference_ops import (
     ListSparsityTrace,
+    lexsort_cell_index,
     record_routes_per_cell,
     reference_avg_k,
     reference_emit_report,
@@ -740,6 +741,38 @@ class TestColumnarTraceOracle:
         assert np.array_equal(cells, want_cells)
         assert np.array_equal(inverse, want_inverse)
 
+    @pytest.mark.parametrize(
+        "lows,spans,combined",
+        [
+            ((0, 0, 0), (1, 1, 1), True),
+            ((-1, 0, 0), (255, 1, 1), True),  # a span the uint8 product dtype must hold
+            ((0, 0, 0), (1, 256, 1), True),
+            ((5, -3, 0), (300, 64, 2), True),
+            ((-(2**62), 0, 7), (2**61, 3, 1), True),
+            ((0, 0, 0), (2**63 - 1, 1, 1), True),  # the largest product that fits
+            ((-(2**63), 0, 0), (2**63, 1, 1), False),  # the smallest that does not
+            ((0, 0, 0), (2**32, 2**31, 1), False),
+            ((-(2**63), -(2**63), 0), (2**64 - 1, 2**64 - 1, 5), False),
+        ],
+    )
+    def test_cell_index_equals_lexsort(self, lows, spans, combined):
+        # unsorted rows with repeated cells; each column takes both ends of its span
+        rng = np.random.default_rng(len(str(spans)))
+        arr = {}
+        for name, low, span in zip(("sequence_id", "position", "layer"), lows, spans):
+            offsets = rng.integers(0, min(span, 6), 400, dtype=np.uint64)
+            offsets[rng.random(400) < 0.5] += np.uint64(span - min(span, 6))
+            offsets[:2] = [0, span - 1]
+            column = (offsets + np.uint64(low % 2**64)).astype(np.int64)
+            arr[name] = column[rng.permutation(400)]
+        keys = [arr[name] for name in ("sequence_id", "position", "layer")]
+        assert (analysis._combined_key(keys) is not None) == combined
+        cells, inverse = _cell_index(arr)
+        want_cells, want_inverse = lexsort_cell_index(arr)
+        assert cells.dtype == want_cells.dtype == np.int64
+        assert np.array_equal(cells, want_cells) and np.array_equal(inverse, want_inverse)
+        assert np.array_equal(cells, unique_cell_index(arr)[0])
+
     def test_one_block_equals_scalar_calls(self):
         rng = np.random.default_rng(4)
         n, k = 7, 3
@@ -911,6 +944,18 @@ class TestDistinctValueTables:
         emit_report(metrics, fmt, tmp_path / "new")
         reference_emit_report(metrics, fmt, tmp_path / "ref")
         assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "groups,label",
+        [({5: 0.25, "5": 0.75}, "5"), ({"a": 1.0, (1, 2): 2.0, "1/2": 3.0}, "1/2")],
+    )
+    def test_two_groups_with_one_label_rejected(self, tmp_path, fmt, groups, label):
+        metrics = {"fine": {1: 1.0}, "load": groups}
+        with pytest.raises(ContractError) as err:
+            emit_report(metrics, fmt, tmp_path / "report")
+        assert str(err.value) == f"metric 'load' has two groups labelled {label!r}"
+        assert not (tmp_path / "report").exists()
 
     def test_label_formats(self):
         keys = [(1,), (1, 2), (1, 2, 3), (), "s", 4, (np.int64(5), "x")]

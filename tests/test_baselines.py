@@ -13,7 +13,7 @@ from beamoe.baselines import (
 from beamoe.moe import MoEBlockConfig, balance_loss_from, topk_route
 from beamoe.tensor import ContractError, Tape, Tensor, mul, tsum
 
-from reference_ops import reference_dynamic_route, reference_masked_route
+from reference_ops import reference_candidate_bits, reference_dynamic_route, reference_masked_route
 
 
 def cfg(n=6, k=3, d_h=5, d_ff=4, **kw):
@@ -477,6 +477,26 @@ class TestUniversalInvariants:
         if strategy.kind != "moe_dynamic":
             assert np.all((w > 0).sum(axis=-1) <= block.cfg.top_k)
         assert rr.active_counts.shape == (20,)
+
+    @pytest.mark.parametrize("strategy", ROUTE_STRATEGIES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_active_bits_equal_take_along_axis(self, strategy, training, monkeypatch):
+        masks = []
+        real = beam.mask_forward
+        monkeypatch.setattr(beam, "mask_forward", lambda *a: masks.append(real(*a)) or masks[-1])
+        block, rng = block_for(strategy, seed=17)
+        if block.mask_router is not None:
+            block.mask_router.weight.data[...] = rng.normal(0, 1.0, (5, 6))
+        rr = route(block, Tensor(rng.normal(size=(20, 5))), strategy, training, binarize_soft=True)
+        assert rr.active_bits.dtype == np.int64
+        if strategy.kind == "moe_dynamic":
+            want = reference_candidate_bits(rr.balance_active, rr.candidate_ids)
+        elif masks:  # binarize_soft: every masked kind takes its bits from the mask
+            want = reference_candidate_bits(masks[0].binary_mask, rr.candidate_ids)
+            assert 0 < want.sum() < want.size
+        else:
+            want = (rr.candidate_ids >= 0).astype(np.int64)
+        assert np.array_equal(rr.active_bits, want)
 
 
 EPS = np.finfo(np.float64).eps

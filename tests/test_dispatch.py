@@ -7,6 +7,8 @@ from beamoe.dispatch import align_block, bench_dispatch, grouped_execute, naive_
 from beamoe.moe import Expert, MoEBlockConfig, moe_block_forward
 from beamoe.tensor import ContractError, Tape, Tensor
 
+from reference_ops import reference_expert_forward_np, reference_grouped_execute
+
 
 def random_scenario(rng, t=16, n=8, k=4, d_h=6, d_ff=5, mask_prob=0.4):
     """Random routed batch with a random mask pattern applied."""
@@ -281,3 +283,99 @@ class TestOneGrouping:
         with pytest.raises(ContractError) as in_training:
             moe_block_forward(h, Tensor(weights), experts, compute_ids=ids)
         assert str(in_inference.value) == str(in_training.value) == "token 1 names expert 1 twice"
+
+
+def bit_equal(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def plan_case(rng, t, n, k, d_h=5, d_ff=4):
+    """A random plan with its weights, over experts of random size: each
+    token keeps each of its k distinct slots with a random probability, so
+    plans with empty and one-row experts come up."""
+    ids = np.argsort(rng.random((t, n)), axis=-1)[:, :k]
+    ids = np.where(rng.random((t, k)) < rng.uniform(0.0, 0.9), np.int64(-1), ids)
+    weights = np.zeros((t, n))
+    tokens, slots = np.nonzero(ids >= 0)
+    weights[tokens, ids[tokens, slots]] = rng.uniform(0.05, 1.0, tokens.size)
+    h = rng.normal(size=(t, d_h))
+    h[rng.random(h.shape) < 0.1] = -0.0
+    experts = [Expert.init_random(d_h, d_ff, rng, std=0.4) for _ in range(n)]
+    return h, align_block(ids, num_experts=n), weights, experts
+
+
+class TestOverheadFreeExecute:
+    """``grouped_execute`` with one slot-level weight gather and zero check,
+    in-place weighting and the in-place ``expert_forward_np`` equals the
+    per-expert loop it replaced, ``reference_grouped_execute``, bit for bit."""
+
+    @pytest.mark.parametrize("activation", ["silu", "identity"])
+    def test_random_plans_bit_equal(self, activation):
+        rng = np.random.default_rng(19)
+        sizes = {"empty": 0, "one-row": 0, "one-token": 0}
+        for trial in range(60):
+            t = 1 if trial % 4 == 0 else int(rng.integers(2, 24))
+            h, plan, weights, experts = plan_case(rng, t, n=6, k=3)
+            counts = np.diff(plan.offsets)
+            sizes["empty"] += bool((counts == 0).any())
+            sizes["one-row"] += bool((counts == 1).any())
+            sizes["one-token"] += t == 1
+            got = grouped_execute(h, plan, experts, weights, activation)
+            want = reference_grouped_execute(h, plan, experts, weights, activation)
+            assert bit_equal(got, want)
+        assert all(sizes.values()), sizes
+
+    @pytest.mark.parametrize("activation", ["silu", "identity"])
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_expert_forward_np_bit_equal(self, activation, rows):
+        rng = np.random.default_rng(rows)
+        expert = Expert.init_random(6, 9, rng, std=0.5)
+        x = rng.normal(size=(rows, 6))
+        got = moe.expert_forward_np(x, expert, activation)
+        assert bit_equal(got, reference_expert_forward_np(x, expert, activation))
+        assert bit_equal(got, moe.expert_forward(Tensor(x), expert, activation).data)
+
+    def test_unknown_activation_rejected(self):
+        expert = Expert.init_random(2, 3, np.random.default_rng(0))
+        with pytest.raises(ContractError, match="unknown activation 'relu'"):
+            moe.expert_forward_np(np.ones((1, 2)), expert, "relu")
+
+    @pytest.mark.parametrize("zero_experts", [[5], [3, 5], [0, 4]])
+    def test_zero_weight_named_before_any_expert_runs(self, zero_experts, monkeypatch):
+        # each named expert loses one slot's weight to an unplanned entry, so
+        # the nonzero count still agrees with the plan
+        rng = np.random.default_rng(23)
+        ids = np.array([[0, 1, 5], [2, 3, 5], [4, 0, 3], [1, 4, 2]])
+        weights = np.zeros((4, 6))
+        np.put_along_axis(weights, ids, 0.5, axis=-1)
+        h, experts = rng.normal(size=(4, 5)), [Expert.init_random(5, 4, rng) for _ in range(6)]
+        for e in zero_experts:
+            tok = int(np.flatnonzero((ids == e).any(axis=1))[0])
+            spare = next(x for x in range(6) if weights[tok, x] == 0.0 and x not in ids[tok])
+            weights[tok, e], weights[tok, spare] = 0.0, 0.5
+        plan = align_block(ids, num_experts=6)
+        message = f"plan routes a zero-weight slot to expert {min(zero_experts)}"
+        with pytest.raises(ContractError) as want:
+            reference_grouped_execute(h, plan, experts, weights)
+        assert str(want.value) == message
+        ran = []
+        monkeypatch.setattr(dispatch, "expert_forward_np", lambda *a: ran.append(a))
+        with pytest.raises(ContractError) as got:
+            grouped_execute(h, plan, experts, weights)
+        assert str(got.value) == message and ran == []
+
+    def test_one_kernel_call_per_expert_with_its_rows(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        h, plan, weights, experts = plan_case(rng, 20, n=6, k=3)
+        calls = []
+        real = dispatch.expert_forward_np
+
+        def spy(x, expert, activation):
+            calls.append((experts.index(expert), x.copy()))
+            return real(x, expert, activation)
+
+        monkeypatch.setattr(dispatch, "expert_forward_np", spy)
+        grouped_execute(h, plan, experts, weights)
+        runs = list(moe.expert_runs(plan.offsets, plan.token_order))
+        assert [e for e, _ in calls] == [e for e, _ in runs]
+        assert all(np.array_equal(x, h[rows]) for (_, x), (_, rows) in zip(calls, runs))

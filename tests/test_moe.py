@@ -31,6 +31,7 @@ from reference_ops import (
     gather_rc,
     load_balance_loss,
     reference_group_slots,
+    reference_topk_keep,
     reference_topk_route,
     scatter_rows,
 )
@@ -162,6 +163,14 @@ class TestTopkRoute:
         shifted = topk_route(Tensor(logits + 7.5), w, 3)
         assert np.array_equal(base.topk_indices, shifted.topk_indices)
         assert np.allclose(base.weights.data, shifted.weights.data, atol=1e-12)
+
+    def test_keep_equals_put_along_axis(self):
+        rng = np.random.default_rng(19)
+        for t, n in [(1, 1), (1, 8), (9, 2), (33, 8)]:
+            for k in sorted({1, n // 2 or 1, n}):
+                dec = topk_route(Tensor(rng.normal(size=(t, 5))), Tensor(rng.normal(size=(5, n))), k)
+                assert dec.keep.dtype == bool
+                assert np.array_equal(dec.keep, reference_topk_keep(dec.topk_indices, (t, n)))
 
     def test_topk_select_stability(self):
         ids = topk_select(np.array([[5.0, 5.0, 5.0]]), 2)

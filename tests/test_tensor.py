@@ -12,6 +12,7 @@ from beamoe.tensor import (
     add,
     binarize_ste,
     causal_attention,
+    causal_masks,
     cross_entropy,
     matmul,
     mul,
@@ -35,6 +36,8 @@ from reference_ops import (
     gather_rc,
     mask_fill,
     reference_causal_attention,
+    reference_causal_masks,
+    reference_rms_norm_np,
     reference_sigmoid_np,
     reference_softmax_np,
     scatter_rows,
@@ -238,6 +241,19 @@ class TestCausalAttention:
         assert np.array_equal(out, want)
         for name, got, ref in zip("qkv", grads, want_grads):
             assert np.array_equal(got, ref), name
+
+    @pytest.mark.parametrize("t,tq", [(1, 1), (7, 7), (7, 1), (5, 3), (64, 64), (64, 1)])
+    def test_cached_masks_equal_tri_and_are_read_only(self, t, tq):
+        seen, future = causal_masks(t, tq)
+        want_seen, want_future = reference_causal_masks(t, tq)
+        assert np.array_equal(seen, want_seen) and np.array_equal(future, want_future)
+        assert seen.dtype == future.dtype == bool
+        for mask in (seen, future):
+            with pytest.raises(ValueError, match="read-only"):
+                mask[...] = True
+        assert np.array_equal(seen, want_seen) and np.array_equal(future, want_future)
+        again = causal_masks(t, tq)
+        assert again[0] is seen and again[1] is future
 
     def test_finite_differences_with_fewer_queries_than_keys(self):
         rng = np.random.default_rng(12)
@@ -513,6 +529,17 @@ def test_op_gradients_match_finite_differences(trial, shape, name, build):
     t = Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
     err = check_gradient(lambda: build(t), [t], epsilon=1e-5)
     assert err < 1e-4, f"{name} {shape}: {err}"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 8), (2, 3, 64)])
+def test_rms_norm_equals_mean_form(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    w = rng.normal(size=shape[-1:])
+    got = rms_norm(Tensor(x), Tensor(w)).data
+    want = reference_rms_norm_np(x, w)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_rms_norm_weight_gradient():

@@ -130,6 +130,9 @@ def resolve_config(raw: dict) -> dict:
     if not 0.0 < trace_sampling <= 1.0:
         raise ConfigError("trace_sampling must lie in (0, 1]")
 
+    # the dataclasses' own range checks, before anything is written
+    ModelConfig(strategy=strategy, **model)
+    TrainConfig(**train_sec)
     return {
         "version": CONFIG_VERSION,
         "model": model,
@@ -234,7 +237,6 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return 1
-    out = output_dir_for(resolved)
     trace = analysis.SparsityTrace()
     result = evaluate(
         model,
@@ -258,7 +260,7 @@ def cmd_eval(args) -> int:
         text = "".join(vocab[i] for i in generated)
     # written before anything is printed, so a reader that closes stdout
     # early (``| head``) cannot cost the trace
-    trace_path = Path(args.trace_out) if args.trace_out else out / "sparsity_trace.csv"
+    trace_path = Path(args.trace_out) if args.trace_out else output_dir_for(resolved) / "sparsity_trace.csv"
     trace.to_csv(trace_path)
     print(f"perplexity: {result.perplexity:.6f}")
     print(f"avg_k: {result.avg_k:.6f}")
@@ -340,6 +342,8 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--seeds must be >= 0, got {args.seeds!r}")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds names a seed twice: {args.seeds!r}")
+    if args.eval_windows < 1:
+        raise ConfigError(f"--eval-windows must be >= 1, got {args.eval_windows}")
     labels = [Path(p).stem for p in args.configs]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"configs must have distinct file stems, which label the runs: {labels}")

@@ -18,14 +18,10 @@ from .tensor import (
     mul,
     rms_norm,
     sigmoid_np,
-    silu,
     softmax,
     tsum,
     untaped,
 )
-
-
-ACTIVATIONS = {"silu": silu, "identity": lambda x: x}
 
 
 def _silu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -34,7 +30,7 @@ def _silu_and_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # activation name -> (value, derivative) at a pre-activation array
-ACTIVATION_SLOPES_NP = {
+ACTIVATIONS = {
     "silu": _silu_and_slope,
     "identity": lambda x: (x, np.ones_like(x)),
 }
@@ -85,16 +81,9 @@ class Expert:
         return [self.w_gate, self.w_up, self.w_down]
 
 
-def expert_forward(x: Tensor, expert: Expert, activation: str = "silu") -> Tensor:
-    """(act(x @ W_gate) * (x @ W_up)) @ W_down."""
-    act = ACTIVATIONS[activation]
-    return matmul(mul(act(matmul(x, expert.w_gate)), matmul(x, expert.w_up)), expert.w_down)
-
-
 def expert_forward_np(x: np.ndarray, expert: Expert, activation: str = "silu") -> np.ndarray:
-    # Inference fast path, one hidden buffer. It mirrors expert_forward op for
-    # op (an IEEE product commutes), so results are bit-identical to the
-    # taped version.
+    """(act(x @ W_gate) * (x @ W_up)) @ W_down in one hidden buffer: every
+    expert evaluation, taped or not, runs this."""
     gate = x @ expert.w_gate.data
     if activation == "silu":
         hidden = sigmoid_np(gate)
@@ -105,6 +94,37 @@ def expert_forward_np(x: np.ndarray, expert: Expert, activation: str = "silu") -
         raise ContractError(f"unknown activation {activation!r}")
     hidden *= x @ expert.w_up.data
     return hidden @ expert.w_down.data
+
+
+def expert_backward(x: np.ndarray, g_out: np.ndarray, expert: Expert, activation: str, flow) -> np.ndarray:
+    """Closed-form backward of ``expert_forward_np`` at rows ``x`` and output
+    gradient ``g_out``: sends the w_down, w_gate and w_up gradients, in that
+    order, and returns x's. Gate and up are recomputed, not kept."""
+    gate_pre = x @ expert.w_gate.data
+    up = x @ expert.w_up.data
+    gate, slope = ACTIVATIONS[activation](gate_pre)
+    g_hidden = g_out @ expert.w_down.data.T
+    g_up = g_hidden * gate
+    g_gate_pre = g_hidden * up * slope
+    _send(flow, expert.w_down, (gate * up).T @ g_out, owned=True)
+    _send(flow, expert.w_gate, x.T @ g_gate_pre, owned=True)
+    _send(flow, expert.w_up, x.T @ g_up, owned=True)
+    return g_gate_pre @ expert.w_gate.data.T + g_up @ expert.w_up.data.T
+
+
+def expert_forward(x: Tensor, expert: Expert, activation: str = "silu") -> Tensor:
+    """(act(x @ W_gate) * (x @ W_up)) @ W_down as one tape node: the value of
+    ``expert_forward_np``, the backward of ``expert_backward``."""
+    out = Tensor._raw(
+        expert_forward_np(x.data, expert, activation),
+        x.requires_grad or any(p.requires_grad for p in expert.tensors()),
+    )
+
+    def rule(g, flow):
+        _send(flow, x, expert_backward(x.data, g, expert, activation, flow), owned=True)
+
+    _record(out, rule)
+    return out
 
 
 @dataclass
@@ -253,12 +273,11 @@ def grouped_glu(
 
     Expert e's rows, ``token_order[offsets[e]:offsets[e + 1]]`` from
     ``group_slots``, run through ``expert_forward`` with recording suspended,
-    and y accumulates in ascending expert order. The backward is closed form:
-    the weight gradient (g[r] . E_e(x[r])) reaches every listed row,
-    zero-weight rows included (the straight-through mask needs it), while the
-    expert weights and x are differentiated on the rows with a nonzero weight
-    only, the rest contributing exactly zero. Those rows' gate and up
-    projections are recomputed rather than kept from the forward.
+    and y accumulates in ascending expert order. In the backward the weight
+    gradient (g[r] . E_e(x[r])) reaches every listed row, zero-weight rows
+    included (the straight-through mask needs it), while ``expert_backward``
+    differentiates the expert weights and x on the rows with a nonzero weight
+    only, the rest contributing exactly zero.
     """
     y = np.zeros(x.shape)
     saved = []  # (expert id, rows, weights, outputs)
@@ -274,7 +293,6 @@ def grouped_glu(
         or any(p.requires_grad for e, *_ in saved for p in experts[e].tensors())
     )
     out = Tensor._raw(y, requires_grad)
-    act_and_slope = ACTIVATION_SLOPES_NP[activation]
 
     def rule(g, flow):
         g_weights = np.zeros(weights_hat.shape)
@@ -284,19 +302,8 @@ def grouped_glu(
             g_weights[rows, e] = (g_rows * o).sum(axis=-1)
             live = w != 0.0
             live_rows = rows[live]
-            ex = experts[e]
-            x_live = x.data[live_rows]
             g_out = g_rows[live] * w[live, None]
-            gate_pre = x_live @ ex.w_gate.data
-            up = x_live @ ex.w_up.data
-            gate, slope = act_and_slope(gate_pre)
-            g_hidden = g_out @ ex.w_down.data.T
-            g_up = g_hidden * gate
-            g_gate_pre = g_hidden * up * slope
-            _send(flow, ex.w_down, (gate * up).T @ g_out, owned=True)
-            _send(flow, ex.w_gate, x_live.T @ g_gate_pre, owned=True)
-            _send(flow, ex.w_up, x_live.T @ g_up, owned=True)
-            gx[live_rows] += g_gate_pre @ ex.w_gate.data.T + g_up @ ex.w_up.data.T
+            gx[live_rows] += expert_backward(x.data[live_rows], g_out, experts[e], activation, flow)
         _send(flow, weights_hat, g_weights, owned=True)
         _send(flow, x, gx, owned=True)
 

@@ -1,9 +1,10 @@
 """Dense float64 arrays with tape-based reverse-mode differentiation.
 
 Just enough machinery for a small mixture-of-experts stack: matmul, softmax
-over a kept set, causal attention, sigmoid/silu, row gather, rms-norm,
-cross-entropy, plus a straight-through binarizer. Forward values live in
-numpy; every op records a backward rule on the active tape. With no tape
+over a kept set, causal attention, sigmoid, row gather, rms-norm,
+cross-entropy, plus a straight-through binarizer; the gated-linear-unit
+expert is a fused op of its own, ``moe.expert_forward``. Forward values live
+in numpy; every op records a backward rule on the active tape. With no tape
 active the same functions run forward-only, which is how inference reuses
 the exact training arithmetic.
 
@@ -344,20 +345,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def rule(g, flow):
         _send(flow, x, g * y * (1.0 - y), owned=True)
-
-    _record(out, rule)
-    return out
-
-
-def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    x = _as_tensor(x)
-    s = sigmoid_np(x.data)
-    out = Tensor._raw(x.data * s, x.requires_grad)
-    x_data = x.data
-
-    def rule(g, flow):
-        _send(flow, x, g * s * (1.0 + x_data * (1.0 - s)), owned=True)
 
     _record(out, rule)
     return out

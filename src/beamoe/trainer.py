@@ -62,7 +62,7 @@ class ModelConfig:
             raise ContractError("d_h must be divisible by n_heads")
         if self.context_length < 2:
             raise ContractError("context_length must be >= 2")
-        self.block_config()  # validates the MoE fields
+        self.strategy.validate(self.block_config())
 
     def block_config(self) -> MoEBlockConfig:
         return MoEBlockConfig(
@@ -655,6 +655,8 @@ def evaluate(
     t = cfg.context_length
     n_windows = (len(corpus_ids) - 1) // t
     if max_windows is not None:
+        if max_windows < 1:
+            raise ContractError(f"max_windows must be >= 1, got {max_windows}")
         n_windows = min(n_windows, max_windows)
     if n_windows < 1:
         raise ContractError("corpus too small to evaluate")

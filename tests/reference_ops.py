@@ -5,6 +5,11 @@
   library itself runs the fused ``grouped_glu`` instead. ``transpose``
   serves the per-op attention chain below; the library's fused
   ``causal_attention`` needs no taped transpose.
+- ``silu`` and ``reference_expert_forward``, the gated-linear-unit expert
+  as the taped chain matmul, ``silu``, matmul, mul, matmul: the fused
+  ``expert_forward`` must equal its forward bit for bit, and its closed-form
+  ``expert_backward`` must match the chain's per-op gradients within a few
+  ulps of the largest.
 - A list-based sparsity trace, its per-cell recording loop and its
   ``np.unique`` cell index: the columnar ``SparsityTrace`` and ``avg_k``
   are checked against them.
@@ -185,6 +190,27 @@ def gather_rc(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
 
     _record(out, rule)
     return out
+
+
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x)."""
+    x = _as_tensor(x)
+    s = sigmoid_np(x.data)
+    out = Tensor._raw(x.data * s, x.requires_grad)
+    x_data = x.data
+
+    def rule(g, flow):
+        _send(flow, x, g * s * (1.0 + x_data * (1.0 - s)), owned=True)
+
+    _record(out, rule)
+    return out
+
+
+def reference_expert_forward(x: Tensor, expert: Expert, activation: str = "silu") -> Tensor:
+    """(act(x @ W_gate) * (x @ W_up)) @ W_down as the taped chain matmul,
+    act, matmul, mul, matmul, each op differentiated by its own rule."""
+    act = {"silu": silu, "identity": lambda z: z}[activation]
+    return matmul(mul(act(matmul(x, expert.w_gate)), matmul(x, expert.w_up)), expert.w_down)
 
 
 class ListSparsityTrace:

@@ -104,6 +104,12 @@ class TestConfigValidation:
         assert f"{name} must be" in capsys.readouterr().err
         assert not (Path(cfg["output_dir"]) / "checkpoint.bin").exists()
 
+    def test_strategy_range_error_writes_nothing(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path, strategy={"kind": "beam", "params": {"tau": 1.5}})
+        assert main(["train", str(path)]) == 2
+        assert "tau" in capsys.readouterr().err
+        assert not Path(cfg["output_dir"]).exists()
+
     # each value has the wrong JSON type: the run stops before training and
     # the error names the key
     @pytest.mark.parametrize(
@@ -313,6 +319,18 @@ class TestEvalCommand:
         assert "generated:" in captured
         trace = SparsityTrace.from_csv(trace_out)
         assert set(trace.phase) == {"prefill", "decode"}
+
+    @pytest.mark.parametrize("windows", [0, -3])
+    def test_max_windows_below_one_exits_2(self, trained, capsys, tmp_path, windows):
+        _, out = trained
+        cfg_path, cfg = write_config(tmp_path, name="eval.json", output_dir=str(tmp_path / "eval_out"))
+        code = main(
+            ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--config", str(cfg_path),
+             "--max-windows", str(windows)]
+        )
+        assert code == 2
+        assert f"max_windows must be >= 1, got {windows}" in capsys.readouterr().err
+        assert not Path(cfg["output_dir"]).exists()
 
     def test_max_new_tokens_zero_prefill_only(self, trained, tmp_path):
         cfg_path, out = trained
@@ -603,6 +621,31 @@ class TestCompareCommand:
         code = main(["compare", str(cfg_a), str(cfg_b), "--seeds", "0", "--out", str(tmp_path / "c")])
         assert code == 2
         assert "configs" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"strategy": {"kind": "beam", "params": {"tau": 1.5}}}, "tau"),
+            ({"train": {"learning_rate": -1.0}}, "learning_rate must be > 0, got -1.0"),
+        ],
+        ids=["strategy-range", "learning_rate-range"],
+    )
+    def test_range_error_in_second_config_writes_nothing(self, tmp_path, capsys, overrides, message):
+        good, good_cfg = write_config(tmp_path, name="good.json", output_dir=str(tmp_path / "good_out"))
+        bad, bad_cfg = write_config(tmp_path, name="bad.json", output_dir=str(tmp_path / "bad_out"), **overrides)
+        out = tmp_path / "c"
+        assert main(["compare", str(good), str(bad), "--seeds", "0,1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(good_cfg["output_dir"]).exists() and not Path(bad_cfg["output_dir"]).exists()
+
+    @pytest.mark.parametrize("windows", ["0", "-2"])
+    def test_eval_windows_below_one_exit_2(self, tmp_path, capsys, windows):
+        cfg, _ = write_config(tmp_path)
+        code = main(["compare", str(cfg), "--seeds", "0", "--out", str(tmp_path / "c"), "--eval-windows", windows])
+        assert code == 2
+        assert f"--eval-windows must be >= 1, got {windows}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     def test_mismatched_shapes_exit_2(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamoe import moe
 from beamoe.moe import (
     Expert,
     MoEBlock,
@@ -30,6 +31,7 @@ from reference_ops import (
     check_gradient,
     gather_rc,
     load_balance_loss,
+    reference_expert_forward,
     reference_group_slots,
     reference_topk_keep,
     reference_topk_route,
@@ -47,7 +49,8 @@ def per_expert_moe_block_forward(
 ):
     """Reference: moe_block_forward composed of primitive tape ops, one
     expert at a time (take_rows -> expert_forward -> gather_rc -> mul ->
-    scatter_rows -> add), every planned row differentiated through the tape."""
+    scatter_rows -> add), every planned row differentiated through the tape,
+    each expert the taped chain ``reference_expert_forward``."""
     t, n = weights_hat.shape
     x_norm = rms_norm(h, norm_weight) if norm_weight is not None else h
     y = None
@@ -58,12 +61,12 @@ def per_expert_moe_block_forward(
             rows = np.nonzero(weights_hat.data[:, i] != 0.0)[0]
         if rows.size == 0:
             continue
-        oi = expert_forward(take_rows(x_norm, rows), experts[i], activation)
+        oi = reference_expert_forward(take_rows(x_norm, rows), experts[i], activation)
         wi = reshape(gather_rc(weights_hat, rows, np.full(rows.shape, i)), (rows.size, 1))
         contrib = scatter_rows(mul(oi, wi), rows, t)
         y = contrib if y is None else add(y, contrib)
     for e in shared_experts:
-        so = expert_forward(x_norm, e, activation)
+        so = reference_expert_forward(x_norm, e, activation)
         y = so if y is None else add(y, so)
     return h if y is None else add(h, y)
 
@@ -105,8 +108,71 @@ class TestExpertForward:
         e = make_expert(6, 9, rng)
         x = rng.normal(size=(7, 6))
         assert np.array_equal(
-            expert_forward(Tensor(x), e, "silu").data, expert_forward_np(x, e, "silu")
+            reference_expert_forward(Tensor(x), e, "silu").data, expert_forward_np(x, e, "silu")
         )
+
+
+class TestFusedExpertOracle:
+    """``expert_forward``, one tape node over ``expert_forward_np`` with the
+    closed-form ``expert_backward``, against the taped chain
+    ``reference_expert_forward``: the forward bit-equal, signs of zero
+    included, and every gradient within 4 eps of the chain's largest."""
+
+    @staticmethod
+    def _run(fn, x, expert, activation, upstream):
+        params = [x] + expert.tensors()
+        for p in params:
+            p.grad = None
+        with Tape() as tape:
+            out = fn(x, expert, activation)
+            nodes = len(tape.nodes)
+            tape.backward(tsum(mul(out, Tensor(upstream))))
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+        return out.data, nodes, grads
+
+    @pytest.mark.parametrize("activation", ["silu", "identity"])
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_matches_taped_chain(self, activation, rows, x_grad):
+        eps = np.finfo(np.float64).eps
+        for seed in range(4):
+            rng = np.random.default_rng(100 * rows + seed)
+            expert = make_expert(5, 7, rng)
+            x = Tensor(rng.normal(size=(rows, 5)), requires_grad=x_grad)
+            upstream = rng.normal(size=(rows, 5))
+            ref_out, _, ref_grads = self._run(reference_expert_forward, x, expert, activation, upstream)
+            out, nodes, grads = self._run(expert_forward, x, expert, activation, upstream)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(np.signbit(out), np.signbit(ref_out))
+            assert nodes == 1
+            for ref, got in zip(ref_grads, grads):
+                scale = np.max(np.abs(ref), initial=0.0)
+                assert np.max(np.abs(got - ref), initial=0.0) <= 4 * eps * scale
+            if not x_grad:
+                assert x.grad is None
+
+    def test_shared_experts_record_one_node_each(self, monkeypatch):
+        # the chain records five nodes per silu expert, the fused op one
+        rng = np.random.default_rng(5)
+        t, d_h, d_ff, n = 6, 4, 5, 3
+        experts = [make_expert(d_h, d_ff, rng) for _ in range(n)]
+        shared = [make_expert(d_h, d_ff, rng) for _ in range(2)]
+        for p in [w for e in experts + shared for w in e.tensors()]:
+            p.requires_grad = True
+        h = Tensor(rng.normal(size=(t, d_h)), requires_grad=True)
+        norm_w = Tensor(np.ones(d_h), requires_grad=True)
+        weights = Tensor(rng.uniform(0.1, 1.0, (t, n)), requires_grad=True)
+
+        def record():
+            with Tape() as tape:
+                out = moe_block_forward(h, weights, experts, shared, norm_weight=norm_w)
+            return out.data, len(tape.nodes)
+
+        out, fused = record()
+        monkeypatch.setattr(moe, "expert_forward", reference_expert_forward)
+        ref_out, chain = record()
+        assert np.array_equal(out, ref_out)
+        assert chain - fused == 8
 
 
 class TestTopkRoute:

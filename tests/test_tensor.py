@@ -20,7 +20,6 @@ from beamoe.tensor import (
     rms_norm,
     sigmoid,
     sigmoid_np,
-    silu,
     slice_cols,
     softmax,
     softmax_np,
@@ -42,6 +41,7 @@ from reference_ops import (
     reference_softmax_np,
     scatter_rows,
     sentinel_softmax,
+    silu,
     transpose,
 )
 

@@ -133,11 +133,9 @@ class RouteResult:
 
     @property
     def kept_ids(self) -> np.ndarray:
-        """Candidate ids with -1 on every inactive slot: the inference dispatch set.
-
-        In soft-mask training this hides the hard-closed slots, which still run
-        (``block_forward`` executes every candidate of a masked strategy).
-        """
+        """Candidate ids with -1 on every inactive slot: the block's slot set
+        everywhere but in masked training, which runs every candidate
+        (``block_forward``)."""
         return np.where(self.active_bits == 1, self.candidate_ids, np.int64(-1))
 
     @property
@@ -245,26 +243,27 @@ def block_forward(
 ) -> tuple[Tensor, RouteResult]:
     """One full MoE block under the given strategy.
 
-    Training keeps everything on the tape and, for masked strategies, runs
-    every candidate, closed slots included, because the straight-through
-    estimator needs their outputs. Inference executes the kept slots through
-    the dispatch plan plus shared experts.
+    The block's one slot set is picked here: ``candidate_ids`` when training
+    a masked strategy (its straight-through estimator needs closed slots'
+    outputs), else ``kept_ids``. Training runs it on the tape, inference
+    through the dispatch plan; ``moe.slot_weights`` checks the weights.
     """
     x_n = block.normalize(h)
     rr = route(block, x_n, strategy, training, step, total_steps, binarize_soft)
+    ids = rr.candidate_ids if training and rr.raw_mask is not None else rr.kept_ids
     if training:
         out = moe_block_forward(
             h,
             rr.weights_hat,
             block.experts,
             block.shared,
+            compute_ids=ids,
             x_norm=x_n,
             activation=block.cfg.activation,
-            compute_ids=rr.candidate_ids if rr.raw_mask is not None else None,
         )
         return out, rr
 
-    plan = dispatch.align_block(rr.kept_ids, num_experts=block.cfg.num_experts)
+    plan = dispatch.align_block(ids, num_experts=block.cfg.num_experts)
     y = dispatch.grouped_execute(
         x_n.data, plan, block.experts, rr.weights_hat.data, block.cfg.activation
     )

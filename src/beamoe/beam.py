@@ -6,9 +6,11 @@ scores (over a temperature, for ``soft_mask_tempered``) into (0, 1) and an
 inclusive threshold tau (0.5 by default) turns them into a binary mask over
 the primary router's top-k candidates; the soft kinds weight by the sigmoid
 itself unless ``baselines.route`` discretizes them. Training keeps the mask
-in the graph through a straight-through binarizer and pressures it toward
-zero with an L1 term restricted to the candidate set; inference
-(``baselines.block_forward``) skips masked experts via the dispatch module.
+in the graph through a straight-through binarizer, runs every candidate (a
+closed one weighs 0 and adds exactly 0) and pushes the mask toward zero with
+an L1 term on the candidates; inference dispatches the kept ones only. Both
+slot sets come from ``baselines.block_forward``, the weight rule from
+``moe.slot_weights``.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 and execute each expert once over its rows.
 
 The plan is compressed-row: per-expert offsets into one flat token order,
-built by ``moe.group_slots``, the grouping training's ``moe_block_forward``
-uses too. Block alignment, which a device layout would pad each expert's
-run to, is arithmetic only (``padded_count``); no array is padded, because
-numpy has no tiles for padding to fill.
+built by ``moe.group_slots`` over the one slot set ``baselines.block_forward``
+picks, as training's ``moe_block_forward`` does, and weighted under the one
+rule of ``moe.slot_weights``. Block alignment, which a device layout would
+pad each expert's run to, is arithmetic only (``padded_count``); no array is
+padded, because numpy has no tiles for padding to fill.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moe import Expert, expert_forward_np, expert_runs, group_slots, topk_select
+from .moe import Expert, expert_forward_np, expert_runs, group_slots, slot_weights, topk_select
 from .tensor import ContractError
 
 
@@ -46,21 +47,16 @@ class DispatchPlan:
 
 
 def align_block(ids: np.ndarray, block_size: int = 16, *, num_experts: int) -> DispatchPlan:
-    """Group the unmasked slots of a (T, K) id array by expert (``group_slots``).
+    """Group the unmasked slots of a (T, K) id array by expert.
 
-    -1 marks a masked slot; any other id outside [0, num_experts) is
-    rejected, and so is a token naming one expert twice. Within an expert,
-    tokens stay in ascending order so downstream accumulation order is
-    deterministic.
+    ``group_slots`` checks the ids: -1 marks a masked slot, any other id
+    outside [0, num_experts) is rejected, and so is a token naming one
+    expert twice. Within an expert, tokens stay in ascending order so
+    downstream accumulation order is deterministic.
     """
     if block_size < 1:
         raise ContractError("block_size must be >= 1")
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < -1 or ids.max() >= num_experts):
-        raise ContractError(
-            f"expert ids must lie in [-1, {num_experts}); got {ids.min()}..{ids.max()}"
-        )
-    offsets, token_order = group_slots(ids, num_experts)
+    offsets, token_order = group_slots(np.asarray(ids, dtype=np.int64), num_experts)
     return DispatchPlan(block_size=block_size, offsets=offsets, token_order=token_order)
 
 
@@ -71,25 +67,18 @@ def grouped_execute(
     weights_hat: np.ndarray,
     activation: str = "silu",
 ) -> np.ndarray:
-    """Run each expert once over its real slots and scatter weighted outputs.
+    """Run each expert once over its plan slots and scatter weighted outputs.
 
     Output equals the naive per-token loop: tokens absent from the plan get
     zero contribution, and per-token accumulation follows ascending expert
-    id. The weights' nonzero pattern must agree with the plan: all slots are
-    checked before any expert runs, and a zero-weight slot is reported at the
-    lowest expert that holds one.
+    id. The weights obey ``moe.slot_weights``, checked before any expert
+    runs: none negative, every positive one on a plan slot. A zero-weight
+    slot runs and adds exactly 0, as in training.
     """
-    if int(np.count_nonzero(weights_hat)) != plan.total_real:
-        raise ContractError("weights_hat nonzero count disagrees with plan slots")
-    offsets = plan.offsets
-    slot_expert = np.repeat(np.arange(plan.num_experts), offsets[1:] - offsets[:-1])
-    weights = weights_hat[plan.token_order, slot_expert]
-    zero = np.flatnonzero(weights == 0.0)
-    if zero.size:
-        raise ContractError(f"plan routes a zero-weight slot to expert {slot_expert[zero[0]]}")
+    weights = slot_weights(weights_hat, plan.offsets, plan.token_order)
     y = np.zeros_like(h)
-    bounds = offsets.tolist()
-    for e, rows in expert_runs(offsets, plan.token_order):
+    bounds = plan.offsets.tolist()
+    for e, rows in expert_runs(plan.offsets, plan.token_order):
         out = expert_forward_np(h[rows], experts[e], activation)
         out *= weights[bounds[e] : bounds[e + 1], None]
         # group_slots makes rows unique within one expert, so fancy-index += is safe

@@ -230,12 +230,17 @@ class MoEBlock:
 
 
 def group_slots(ids: np.ndarray, num_experts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group the slots of a (T, C) int64 expert-id array by expert.
+    """Group the slots of a (T, C) int64 expert-id array by expert: the one
+    id check of both expert paths.
 
-    -1 marks no slot; callers check that every other id lies in [0,
-    num_experts). Expert e's tokens are ``token_order[offsets[e]:offsets[e +
-    1]]``, ascending and unique: a token naming one expert twice is rejected.
+    -1 marks no slot; any other id outside [0, num_experts) is rejected, and
+    so is a token naming one expert twice. Expert e's tokens are
+    ``token_order[offsets[e]:offsets[e + 1]]``, ascending and unique.
     """
+    if ids.size and (ids.min() < -1 or ids.max() >= num_experts):
+        raise ContractError(
+            f"expert ids must lie in [-1, {num_experts}); got {ids.min()}..{ids.max()}"
+        )
     flat = ids.reshape(-1)
     real = np.nonzero(flat >= 0)[0]  # ascending flat index == (token, slot) order
     # the narrowest dtype that holds every id makes the stable sort a radix sort
@@ -260,9 +265,26 @@ def expert_runs(offsets: np.ndarray, token_order: np.ndarray):
             yield e, token_order[bounds[e] : bounds[e + 1]]
 
 
+def slot_weights(weights: np.ndarray, offsets: np.ndarray, token_order: np.ndarray) -> np.ndarray:
+    """Each slot's weight, in ``token_order``, under the one weight rule of
+    both expert paths: no weight is negative and every positive weight lies
+    on a slot. A slot may weigh 0 and then adds exactly 0. NaN is neither, so
+    a diverging run's weights reach the loss."""
+    slot_expert = np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
+    w = weights[token_order, slot_expert]
+    if np.fmin.reduce(weights, axis=None, initial=0.0) < 0.0:
+        raise ContractError("expert weights must be non-negative")
+    # the first count settles it when every nonzero weight lies on a slot
+    off_slot = np.count_nonzero(weights) != np.count_nonzero(w)
+    if off_slot and np.count_nonzero(weights > 0.0) != np.count_nonzero(w > 0.0):
+        raise ContractError("a positive expert weight lies off the slot set")
+    return w
+
+
 def grouped_glu(
     x: Tensor,
     weights_hat: Tensor,
+    slot_w: np.ndarray,
     offsets: np.ndarray,
     token_order: np.ndarray,
     experts: list[Expert],
@@ -273,17 +295,18 @@ def grouped_glu(
 
     Expert e's rows, ``token_order[offsets[e]:offsets[e + 1]]`` from
     ``group_slots``, run through ``expert_forward`` with recording suspended,
-    and y accumulates in ascending expert order. In the backward the weight
-    gradient (g[r] . E_e(x[r])) reaches every listed row, zero-weight rows
-    included (the straight-through mask needs it), while ``expert_backward``
-    differentiates the expert weights and x on the rows with a nonzero weight
-    only, the rest contributing exactly zero.
+    weighted by ``slot_w`` from ``slot_weights``; y accumulates in ascending
+    expert order. In the backward the weight gradient (g[r] . E_e(x[r]))
+    reaches every slot, zero-weight ones included (the straight-through mask
+    needs it), while ``expert_backward`` differentiates the expert weights
+    and x on the slots with a nonzero weight only.
     """
     y = np.zeros(x.shape)
     saved = []  # (expert id, rows, weights, outputs)
+    bounds = offsets.tolist()
     with untaped():
         for e, rows in expert_runs(offsets, token_order):
-            w = weights_hat.data[rows, e]
+            w = slot_w[bounds[e] : bounds[e + 1]]
             o = expert_forward(Tensor._raw(x.data[rows]), experts[e], activation).data
             y[rows] += o * w[:, None]
             saved.append((e, rows, w, o))
@@ -317,45 +340,37 @@ def moe_block_forward(
     experts: list[Expert],
     shared_experts: list[Expert] = (),
     *,
+    compute_ids: np.ndarray,
     norm_weight: Tensor | None = None,
     x_norm: Tensor | None = None,
     activation: str = "silu",
-    compute_ids: np.ndarray | None = None,
 ) -> Tensor:
     """Residual MoE update h' = h + sum_i ghat_i E_i(N(h)) + shared terms.
 
-    ``weights_hat`` may contain zeros; with all-zero weights and no shared
-    experts the input is returned unchanged. ``compute_ids`` (T, C) forces
-    expert evaluation for those token/expert pairs even where the weight is
-    zero, which training needs so the weight gradients exist; such a closed
-    slot costs its forward only, its backward through the expert being
-    exactly zero and skipped. Per-token accumulation runs in ascending
-    expert order in every execution path, so alternative dispatch routes can
-    be compared at tight tolerances.
+    ``compute_ids`` (T, C) is the block's slot set, -1 marking no slot, and
+    every listed token/expert pair runs (``group_slots``); the weights obey
+    ``slot_weights``. A zero-weight slot costs its forward only and gives its
+    weight the gradient the straight-through mask needs. With no slot and no
+    shared expert the input is returned unchanged. Per-token accumulation
+    runs in ascending expert order in every execution path, so alternative
+    dispatch routes can be compared at tight tolerances.
     """
-    if np.any(weights_hat.data < 0):
-        raise ContractError("expert weights must be non-negative")
     t = h.shape[0]
     n = len(experts)
     if weights_hat.shape != (t, n):
         raise ShapeError("weights_hat must be (tokens, num_experts)")
+    slot_ids = np.asarray(compute_ids, dtype=np.int64)
+    if slot_ids.ndim != 2 or slot_ids.shape[0] != t:
+        raise ShapeError("compute_ids must be (tokens, slots)")
+    offsets, token_order = group_slots(slot_ids, n)
+    slot_w = slot_weights(weights_hat.data, offsets, token_order)
 
     if x_norm is None:
         x_norm = rms_norm(h, norm_weight) if norm_weight is not None else h
 
-    if compute_ids is not None:
-        slot_ids = np.asarray(compute_ids, dtype=np.int64)
-        if slot_ids.ndim != 2 or slot_ids.shape[0] != t:
-            raise ShapeError("compute_ids must be (tokens, slots)")
-        if slot_ids.size and (slot_ids.min() < 0 or slot_ids.max() >= n):
-            raise ContractError("compute_ids must lie in [0, num_experts)")
-    else:
-        slot_ids = np.where(weights_hat.data != 0.0, np.arange(n), np.int64(-1))
-    offsets, token_order = group_slots(slot_ids, n)
-
     y: Tensor | None = None
     if token_order.size:
-        y = grouped_glu(x_norm, weights_hat, offsets, token_order, experts, activation)
+        y = grouped_glu(x_norm, weights_hat, slot_w, offsets, token_order, experts, activation)
     for e in shared_experts:
         so = expert_forward(x_norm, e, activation)
         y = so if y is None else add(y, so)

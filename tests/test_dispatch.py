@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from beamoe import dispatch, moe
-from beamoe.baselines import RoutingStrategy, block_forward, build_block
+from beamoe.baselines import KINDS, RoutingStrategy, block_forward, build_block
 from beamoe.dispatch import align_block, bench_dispatch, grouped_execute, naive_execute
 from beamoe.moe import Expert, MoEBlockConfig, moe_block_forward
-from beamoe.tensor import ContractError, Tape, Tensor
+from beamoe.tensor import ContractError, Tape, Tensor, cross_entropy, reshape
+from beamoe.trainer import ModelConfig, TinyMoELM, evaluate
 
 from reference_ops import (
     reference_expert_forward,
@@ -120,15 +121,6 @@ class TestGroupedExecute:
         out = grouped_execute(h, plan, experts, np.zeros((16, 8)))
         assert np.array_equal(out, np.zeros_like(h))
 
-    def test_weight_pattern_mismatch_rejected(self):
-        rng = np.random.default_rng(9)
-        h, _, masked_ids, weights, experts = random_scenario(rng, mask_prob=0.5)
-        plan = align_block(masked_ids, 16, num_experts=8)
-        bad = weights.copy()
-        bad[bad != 0] = 0.0  # zero out everything the plan expects
-        with pytest.raises(ContractError):
-            grouped_execute(h, plan, experts, bad)
-
     def test_masked_slot_contributes_nothing(self):
         rng = np.random.default_rng(10)
         h, ids, masked_ids, weights, experts = random_scenario(rng, mask_prob=0.3)
@@ -215,18 +207,23 @@ class TestBench:
         assert rows[1].wall_time_ns_min < rows[0].wall_time_ns_min
 
 
+KIND_PARAMS = {"topk_pruning": {"k_infer": 1}, "ada_moe": {"null_count": 2}, "moe_dynamic": {"phi": 0.7}}
+
+
 class TestOneGrouping:
     """Training's ``moe_block_forward`` and inference's ``align_block`` group
-    their slots through the one ``moe.group_slots``."""
+    their slots through the one ``moe.group_slots``, on the one slot set
+    ``block_forward`` picks."""
 
     @staticmethod
-    def _beam_block(seed):
+    def _block(seed, kind="beam", num_shared=0):
         rng = np.random.default_rng(seed)
-        cfg = MoEBlockConfig(d_h=8, d_ff=6, num_experts=6, top_k=3)
-        strategy = RoutingStrategy("beam")
+        cfg = MoEBlockConfig(d_h=8, d_ff=6, num_experts=6, top_k=3, num_shared=num_shared)
+        strategy = RoutingStrategy(kind, KIND_PARAMS.get(kind, {}))
         block = build_block(cfg, strategy, rng)
-        w = block.mask_router.weight
-        w.data[...] = rng.normal(0.0, 0.8, w.shape)  # so the mask closes slots
+        if block.mask_router is not None:
+            w = block.mask_router.weight
+            w.data[...] = rng.normal(0.0, 0.8, w.shape)  # so the mask closes slots
         return block, strategy, Tensor(rng.normal(size=(12, 8)), requires_grad=True)
 
     @staticmethod
@@ -243,8 +240,11 @@ class TestOneGrouping:
         monkeypatch.setattr(dispatch, "group_slots", spy)
         return calls
 
-    def test_each_block_forward_groups_once(self, monkeypatch):
-        block, strategy, h = self._beam_block(0)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("num_shared", [0, 1])
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "inference"])
+    def test_each_block_forward_groups_once(self, kind, num_shared, training, monkeypatch):
+        block, strategy, h = self._block(0, kind, num_shared)
         calls = self._spy(monkeypatch)
         aligned = []
         real_align = dispatch.align_block
@@ -254,19 +254,19 @@ class TestOneGrouping:
             return real_align(*args, **kwargs)
 
         monkeypatch.setattr(dispatch, "align_block", align_spy)
-        with Tape():
-            _, rr = block_forward(h, block, strategy, training=True)
-        assert len(calls) == 1 and not aligned
-        assert np.array_equal(calls[0][0], rr.candidate_ids)
-        calls.clear()
-        _, rr = block_forward(h, block, strategy, training=False)
-        assert len(calls) == 1 and len(aligned) == 1
-        assert np.array_equal(calls[0][0], rr.kept_ids)
+        if training:
+            with Tape():
+                _, rr = block_forward(h, block, strategy, training=True)
+        else:
+            _, rr = block_forward(h, block, strategy, training=False)
+        want = rr.candidate_ids if training and strategy.needs_mask_router else rr.kept_ids
+        assert len(calls) == 1 and len(aligned) == (0 if training else 1)
+        assert np.array_equal(calls[0][0], want)
 
     def test_training_plan_equals_align_block_plan(self, monkeypatch):
         calls = self._spy(monkeypatch)
         for seed in range(4):
-            block, strategy, h = self._beam_block(seed)
+            block, strategy, h = self._block(seed)
             calls.clear()
             with Tape():
                 block_forward(h, block, strategy, training=True)
@@ -309,9 +309,10 @@ def plan_case(rng, t, n, k, d_h=5, d_ff=4):
 
 
 class TestOverheadFreeExecute:
-    """``grouped_execute`` with one slot-level weight gather and zero check,
-    in-place weighting and the in-place ``expert_forward_np`` equals the
-    per-expert loop it replaced, ``reference_grouped_execute``, bit for bit."""
+    """``grouped_execute`` with one slot-level weight gather
+    (``moe.slot_weights``), in-place weighting and the in-place
+    ``expert_forward_np`` equals the per-expert loop it replaced,
+    ``reference_grouped_execute``, bit for bit, on positive weights."""
 
     @pytest.mark.parametrize("activation", ["silu", "identity"])
     def test_random_plans_bit_equal(self, activation):
@@ -344,30 +345,6 @@ class TestOverheadFreeExecute:
         with pytest.raises(ContractError, match="unknown activation 'relu'"):
             moe.expert_forward_np(np.ones((1, 2)), expert, "relu")
 
-    @pytest.mark.parametrize("zero_experts", [[5], [3, 5], [0, 4]])
-    def test_zero_weight_named_before_any_expert_runs(self, zero_experts, monkeypatch):
-        # each named expert loses one slot's weight to an unplanned entry, so
-        # the nonzero count still agrees with the plan
-        rng = np.random.default_rng(23)
-        ids = np.array([[0, 1, 5], [2, 3, 5], [4, 0, 3], [1, 4, 2]])
-        weights = np.zeros((4, 6))
-        np.put_along_axis(weights, ids, 0.5, axis=-1)
-        h, experts = rng.normal(size=(4, 5)), [Expert.init_random(5, 4, rng) for _ in range(6)]
-        for e in zero_experts:
-            tok = int(np.flatnonzero((ids == e).any(axis=1))[0])
-            spare = next(x for x in range(6) if weights[tok, x] == 0.0 and x not in ids[tok])
-            weights[tok, e], weights[tok, spare] = 0.0, 0.5
-        plan = align_block(ids, num_experts=6)
-        message = f"plan routes a zero-weight slot to expert {min(zero_experts)}"
-        with pytest.raises(ContractError) as want:
-            reference_grouped_execute(h, plan, experts, weights)
-        assert str(want.value) == message
-        ran = []
-        monkeypatch.setattr(dispatch, "expert_forward_np", lambda *a: ran.append(a))
-        with pytest.raises(ContractError) as got:
-            grouped_execute(h, plan, experts, weights)
-        assert str(got.value) == message and ran == []
-
     def test_one_kernel_call_per_expert_with_its_rows(self, monkeypatch):
         rng = np.random.default_rng(29)
         h, plan, weights, experts = plan_case(rng, 20, n=6, k=3)
@@ -383,3 +360,116 @@ class TestOverheadFreeExecute:
         runs = list(moe.expert_runs(plan.offsets, plan.token_order))
         assert [e for e, _ in calls] == [e for e, _ in runs]
         assert all(np.array_equal(x, h[rows]) for (_, x), (_, rows) in zip(calls, runs))
+
+
+class TestOneWeightRule:
+    """``moe.slot_weights`` is the one weight rule of both paths: no weight is
+    negative, every positive weight lies on a slot, and a slot may weigh 0.
+    Both paths check it before any expert runs, with one message."""
+
+    IDS = np.array([[0, 1, 5], [2, 3, -1], [4, 0, 3], [1, -1, 2]])
+
+    def _case(self, seed=23):
+        rng = np.random.default_rng(seed)
+        weights = np.zeros((4, 6))
+        tokens, slots = np.nonzero(self.IDS >= 0)
+        weights[tokens, self.IDS[tokens, slots]] = rng.uniform(0.1, 1.0, tokens.size)
+        h = rng.normal(size=(4, 5))
+        experts = [Expert.init_random(5, 4, rng, std=0.4) for _ in range(6)]
+        return weights, h, experts
+
+    def _errors(self, weights, h, experts, monkeypatch):
+        """The message each path raises, and the expert calls made first."""
+        ran = []
+        monkeypatch.setattr(moe, "expert_forward", lambda *a: ran.append(a))
+        monkeypatch.setattr(dispatch, "expert_forward_np", lambda *a: ran.append(a))
+        with pytest.raises(ContractError) as training, Tape():
+            moe_block_forward(
+                Tensor(h), Tensor(weights, requires_grad=True), experts, compute_ids=self.IDS
+            )
+        with pytest.raises(ContractError) as inference:
+            grouped_execute(h, align_block(self.IDS, num_experts=6), experts, weights)
+        return str(training.value), str(inference.value), ran
+
+    @pytest.mark.parametrize(
+        "token, expert", [(1, 5), (3, 4), (0, 2)], ids=["no-slot", "masked-slot", "non-candidate"]
+    )
+    def test_positive_weight_off_the_slots_rejected_alike(self, token, expert, monkeypatch):
+        weights, h, experts = self._case()
+        weights[token, expert] = 0.25
+        message = "a positive expert weight lies off the slot set"
+        assert self._errors(weights, h, experts, monkeypatch) == (message, message, [])
+
+    @pytest.mark.parametrize("token, expert", [(0, 5), (1, 5)], ids=["on-slot", "off-slot"])
+    def test_negative_weight_rejected_alike(self, token, expert, monkeypatch):
+        weights, h, experts = self._case()
+        weights[token, expert] = -0.25
+        message = "expert weights must be non-negative"
+        assert self._errors(weights, h, experts, monkeypatch) == (message, message, [])
+
+    def test_zero_weight_slot_equals_naive_execute(self):
+        weights, h, experts = self._case()
+        weights[0, 5] = weights[2, 4] = 0.0  # the only slots of experts 5 and 4
+        plan = align_block(self.IDS, num_experts=6)
+        out = grouped_execute(h, plan, experts, weights)
+        assert np.max(np.abs(out - naive_execute(h, self.IDS, experts, weights))) < 1e-9
+        # a zero-weight slot adds exactly 0: the plan without those two
+        # experts' runs gives the same bits
+        dropped = np.where((self.IDS == 4) | (self.IDS == 5), -1, self.IDS)
+        assert bit_equal(out, grouped_execute(h, align_block(dropped, num_experts=6), experts, weights))
+
+    def test_nan_weight_passes_both_paths(self):
+        # a diverging run's weights must reach the loss, on a slot or off it
+        weights, h, experts = self._case()
+        weights[0, 1] = weights[1, 5] = np.nan
+        out = grouped_execute(h, align_block(self.IDS, num_experts=6), experts, weights)
+        taped = moe_block_forward(Tensor(h), Tensor._raw(weights), experts, compute_ids=self.IDS)
+        for y in (out, taped.data - h):
+            assert np.isnan(y[0]).all() and np.isfinite(y[1:]).all()
+
+
+def underflow_case(kind, seed=3):
+    """A block and input where scaling one router column leaves some kept slot
+    with a top-k softmax weight of exactly 0."""
+    rng = np.random.default_rng(seed)
+    block = build_block(MoEBlockConfig(d_h=8, d_ff=6, num_experts=4, top_k=2), RoutingStrategy(kind), rng)
+    block.router_w.data[:, 1] *= 1e5
+    return block, RoutingStrategy(kind), Tensor(rng.normal(size=(16, 8)))
+
+
+class TestUnderflowedWeight:
+    """A top-k softmax weight that underflows to exactly 0 on a kept slot:
+    inference used to reject it, while training skipped the slot. Now both run
+    it and it adds exactly 0, so inference equals training bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["vanilla_topk", "beam"])
+    def test_block_inference_equals_training(self, kind):
+        block, strategy, h = underflow_case(kind)
+        with Tape():
+            trained, rr = block_forward(h, block, strategy, training=True)
+        kept = rr.kept_ids >= 0
+        rows = np.nonzero(kept)[0]
+        assert np.any(rr.weights_hat.data[rows, rr.kept_ids[kept]] == 0.0)
+        inferred, _ = block_forward(h, block, strategy, training=False)
+        assert bit_equal(inferred.data, trained.data)
+
+    @pytest.mark.parametrize("kind", ["vanilla_topk", "beam"])
+    def test_evaluate_equals_training(self, kind):
+        cfg = ModelConfig(
+            vocab_size=12, d_h=16, n_layers=2, n_heads=2, context_length=8, d_ff=12,
+            num_experts=4, top_k=2, strategy=RoutingStrategy(kind), seed=5,
+        )
+        model = TinyMoELM(cfg)
+        model.layers[0]["block"].router_w.data[:, 1] *= 1e5
+        corpus = np.random.default_rng(6).integers(0, 12, 8 * 4 + 1)
+        xs, ys = corpus[:-1].reshape(4, 8), corpus[1:].reshape(4, 8)
+        logits, routes = model.forward(xs, training=True)
+        rr = routes[0]
+        kept = rr.kept_ids >= 0
+        assert np.any(rr.weights_hat.data[np.nonzero(kept)[0], rr.kept_ids[kept]] == 0.0)
+        inferred, _ = model.forward(xs, training=False)
+        assert bit_equal(inferred.data, logits.data)
+        nll = float(cross_entropy(reshape(logits, (32, 12)), ys.reshape(-1)).data)
+        result = evaluate(model, corpus, batch_size=4)
+        assert result.token_count == 32
+        assert result.perplexity == float(np.exp(nll * 32 / 32))

@@ -43,9 +43,16 @@ def make_expert(d_h, d_ff, rng, std=0.5):
     return Expert.init_random(d_h, d_ff, rng, std)
 
 
+def nonzero_ids(weights):
+    """(T, N) slot ids of the nonzero entries of a (T, N) weight array, -1
+    elsewhere."""
+    weights = weights.data if isinstance(weights, Tensor) else weights
+    return np.where(weights != 0.0, np.arange(weights.shape[1]), np.int64(-1))
+
+
 def per_expert_moe_block_forward(
-    h, weights_hat, experts, shared_experts=(), *, norm_weight=None,
-    activation="silu", compute_ids=None,
+    h, weights_hat, experts, shared_experts=(), *, compute_ids, norm_weight=None,
+    activation="silu",
 ):
     """Reference: moe_block_forward composed of primitive tape ops, one
     expert at a time (take_rows -> expert_forward -> gather_rc -> mul ->
@@ -55,10 +62,7 @@ def per_expert_moe_block_forward(
     x_norm = rms_norm(h, norm_weight) if norm_weight is not None else h
     y = None
     for i in range(n):
-        if compute_ids is not None:
-            rows = np.nonzero((compute_ids == i).any(axis=-1))[0]
-        else:
-            rows = np.nonzero(weights_hat.data[:, i] != 0.0)[0]
+        rows = np.nonzero((compute_ids == i).any(axis=-1))[0]
         if rows.size == 0:
             continue
         oi = reference_expert_forward(take_rows(x_norm, rows), experts[i], activation)
@@ -165,7 +169,9 @@ class TestFusedExpertOracle:
 
         def record():
             with Tape() as tape:
-                out = moe_block_forward(h, weights, experts, shared, norm_weight=norm_w)
+                out = moe_block_forward(
+                    h, weights, experts, shared, compute_ids=nonzero_ids(weights), norm_weight=norm_w
+                )
             return out.data, len(tape.nodes)
 
         out, fused = record()
@@ -358,15 +364,17 @@ class TestMoeBlockForward:
 
     def test_zero_weights_no_shared_returns_input_bit_exact(self):
         rng, h, experts = self._setup()
-        out = moe_block_forward(h, Tensor(np.zeros((5, 3))), experts)
+        weights = np.zeros((5, 3))
+        out = moe_block_forward(h, Tensor(weights), experts, compute_ids=nonzero_ids(weights))
         assert np.array_equal(out.data, h.data)
 
     def test_zero_weights_with_shared_reduces_to_shared_only(self):
         rng, h, experts = self._setup()
         shared = [make_expert(4, 6, rng)]
         norm_w = Tensor(np.ones(4))
+        weights = np.zeros((5, 3))
         out = moe_block_forward(
-            h, Tensor(np.zeros((5, 3))), experts, shared, norm_weight=norm_w
+            h, Tensor(weights), experts, shared, compute_ids=nonzero_ids(weights), norm_weight=norm_w
         )
         xn = rms_norm(h, norm_w)
         expected = h.data + expert_forward(xn, shared[0]).data
@@ -376,7 +384,7 @@ class TestMoeBlockForward:
         rng, h, experts = self._setup()
         weights = np.zeros((5, 3))
         weights[:, 1] = 1.0
-        out = moe_block_forward(h, Tensor(weights), experts)
+        out = moe_block_forward(h, Tensor(weights), experts, compute_ids=nonzero_ids(weights))
         expected = h.data + expert_forward(h, experts[1]).data
         assert np.allclose(out.data, expected, atol=1e-15)
 
@@ -390,7 +398,8 @@ class TestMoeBlockForward:
             norm_w = Tensor(rng.uniform(0.5, 1.5, d_h))
             dec = topk_route(rms_norm(h, norm_w), Tensor(rng.normal(size=(d_h, n))), k)
             out = moe_block_forward(
-                h, dec.weights, experts, norm_weight=norm_w, activation="silu"
+                h, dec.weights, experts, compute_ids=nonzero_ids(dec.weights),
+                norm_weight=norm_w, activation="silu",
             )
             xn = rms_norm(h, norm_w).data
             expected = h.data.copy()
@@ -403,8 +412,9 @@ class TestMoeBlockForward:
 
     def test_negative_weights_rejected(self):
         rng, h, experts = self._setup()
-        with pytest.raises(ContractError):
-            moe_block_forward(h, Tensor(np.full((5, 3), -0.1)), experts)
+        ids = np.tile(np.arange(3), (5, 1))
+        with pytest.raises(ContractError, match="expert weights must be non-negative"):
+            moe_block_forward(h, Tensor(np.full((5, 3), -0.1)), experts, compute_ids=ids)
 
     def test_gradients_flow_to_experts_and_router(self):
         rng = np.random.default_rng(12)
@@ -415,7 +425,7 @@ class TestMoeBlockForward:
 
         def f():
             dec = topk_route(h, router, k)
-            out = moe_block_forward(h, dec.weights, experts)
+            out = moe_block_forward(h, dec.weights, experts, compute_ids=nonzero_ids(dec.weights))
             return tsum(mul(out, out))
 
         params = [router] + [w for e in experts for w in e.tensors()]
@@ -462,8 +472,9 @@ class TestGroupedGluOracle:
 
     @pytest.mark.parametrize("activation", ["silu", "identity"])
     @pytest.mark.parametrize("num_shared", [0, 1])
-    @pytest.mark.parametrize("use_compute_ids", [True, False])
-    def test_matches_per_expert_composition(self, activation, num_shared, use_compute_ids):
+    @pytest.mark.parametrize("closed_slots_run", [True, False])
+    def test_matches_per_expert_composition(self, activation, num_shared, closed_slots_run):
+        # the slot set is every candidate, closed ones included, or the nonzero weights
         h, norm_w, weights_hat, experts, shared, compute_ids, upstream = self._case(
             20 + num_shared, num_shared
         )
@@ -473,7 +484,7 @@ class TestGroupedGluOracle:
         kw = dict(
             h=h, weights_hat=weights_hat, experts=experts, shared_experts=shared,
             norm_weight=norm_w, activation=activation,
-            compute_ids=compute_ids if use_compute_ids else None,
+            compute_ids=compute_ids if closed_slots_run else nonzero_ids(weights_hat),
         )
         ref_out, ref_grads = self._run(per_expert_moe_block_forward, params, upstream, **kw)
         out, grads = self._run(moe_block_forward, params, upstream, **kw)
@@ -482,13 +493,13 @@ class TestGroupedGluOracle:
             scale = np.max(np.abs(ref)) if ref.size else 0.0
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * max(scale, 1e-300)
         # closed slots still carry the straight-through weight gradient
-        if use_compute_ids:
+        if closed_slots_run:
             assert weights_hat.grad[0, 3] != 0.0
             assert np.all(weights_hat.grad[4, compute_ids[4]] != 0.0)
         # a never-planned expert gets no gradient at all; a planned one whose
         # slots are all closed gets an exact zero
         assert experts[4].w_up.grad is None
-        if use_compute_ids:
+        if closed_slots_run:
             assert np.all(experts[3].w_up.grad == 0.0)
 
     def test_compute_ids_of_another_token_count_rejected(self):
@@ -499,11 +510,21 @@ class TestGroupedGluOracle:
 
     def test_out_of_range_compute_ids_rejected(self):
         h, norm_w, weights_hat, experts, _, compute_ids, _ = self._case(20, 0)
-        for bad in (-1, self.N):
+        for bad in (-2, self.N):
             ids = compute_ids.copy()
             ids[2, 0] = bad
-            with pytest.raises(ContractError):
+            with pytest.raises(ContractError, match=r"expert ids must lie in \[-1, 5\)"):
                 moe_block_forward(h, weights_hat, experts, compute_ids=ids)
+
+    def test_no_slot_id_accepted_on_a_zero_weight(self):
+        # -1 marks no slot, as in inference: dropping two closed slots from
+        # the set leaves the forward bit-equal
+        h, norm_w, weights_hat, experts, _, compute_ids, _ = self._case(20, 0)
+        ids = compute_ids.copy()
+        ids[4] = -1  # both of token 4's slots weigh 0
+        out = moe_block_forward(h, weights_hat, experts, compute_ids=ids, norm_weight=norm_w)
+        want = moe_block_forward(h, weights_hat, experts, compute_ids=compute_ids, norm_weight=norm_w)
+        assert np.array_equal(out.data, want.data)
 
 
 def _runs(offsets, token_order):
@@ -547,3 +568,11 @@ class TestGroupSlots:
     def test_token_naming_one_expert_twice_rejected(self):
         with pytest.raises(ContractError, match="token 1 names expert 2 twice"):
             group_slots(np.array([[0, 2, -1], [2, -1, 2]]), 3)
+
+    @pytest.mark.parametrize("bad", [[[3, 0]], [[-2, 1]], [[0, 1], [1, 7]]])
+    def test_id_outside_no_slot_or_expert_rejected(self, bad):
+        ids = np.array(bad)
+        message = f"expert ids must lie in [-1, 3); got {ids.min()}..{ids.max()}"
+        with pytest.raises(ContractError) as got:
+            group_slots(ids, 3)
+        assert str(got.value) == message

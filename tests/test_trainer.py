@@ -568,10 +568,8 @@ class TestSlotSet:
         executed = []
         real_forward = baselines.moe_block_forward
 
-        def spy(h, weights_hat, experts, *args, compute_ids=None, **kw):
-            nonzero = weights_hat.data != 0.0
-            run = nonzero if compute_ids is None else _slot_matrix(compute_ids, len(experts))
-            executed.append((nonzero, run))
+        def spy(h, weights_hat, experts, *args, compute_ids, **kw):
+            executed.append((weights_hat.data != 0.0, _slot_matrix(compute_ids, len(experts))))
             return real_forward(h, weights_hat, experts, *args, compute_ids=compute_ids, **kw)
 
         monkeypatch.setattr(baselines, "moe_block_forward", spy)

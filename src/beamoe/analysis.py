@@ -34,11 +34,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _per_cell(value, n: int):
+def _integers(value, name: str) -> np.ndarray:
+    """A recorded field as a new int64 array; ``from_csv`` rejects non-integers too."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iu" and array.size:
+        raise ContractError(f"{name} must be integers, got {array.dtype}")
+    return array.astype(np.int64)
+
+
+def _per_cell(value, n: int, name: str):
     """A per-cell field of a recorded block: an int, or an int64 array of n."""
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    column = np.array(value, dtype=np.int64)
+    column = _integers(value, name)
     if column.ndim == 0:
         return int(column)
     if column.shape != (n,):
@@ -125,7 +131,7 @@ class SparsityTrace:
         """
         if phase not in PHASES:
             raise ContractError(f"unknown phase {phase!r}")
-        expert_ids = np.array(expert_ids, dtype=np.int64)
+        expert_ids = _integers(expert_ids, "expert_ids")
         mask_bits = np.array(mask_bits)
         if expert_ids.shape != mask_bits.shape or expert_ids.ndim not in (1, 2):
             raise ContractError(
@@ -137,13 +143,13 @@ class SparsityTrace:
         n = len(expert_ids) if expert_ids.ndim == 2 else 1
         block = (
             n,
-            _per_cell(sequence_id, n),
-            _per_cell(position, n),
-            int(layer),
+            _per_cell(sequence_id, n, "sequence_id"),
+            _per_cell(position, n, "position"),
+            int(_integers(layer, "layer")),
             expert_ids,
             mask_bits,
             PHASES.index(phase),
-            _per_cell(token_id, n),
+            _per_cell(token_id, n, "token_id"),
         )
         if expert_ids.size:
             self._pending.append(block)
@@ -520,6 +526,8 @@ class FlopsModel:
     avg_k: float
 
     def __post_init__(self):
+        if self.top_k < 1:
+            raise ContractError(f"top_k must be >= 1, got {self.top_k!r}")
         if not 0.0 <= self.avg_k <= self.top_k:
             raise ContractError("avg_k must lie in [0, K]")
 

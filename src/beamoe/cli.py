@@ -305,10 +305,7 @@ def cmd_bench_dispatch(args) -> int:
         repetitions=args.reps,
         seed=args.seed,
     )
-    lines = [dispatch.BENCH_CSV_HEADER] + [
-        f"{r.active_fraction},{r.slots_executed},{r.wall_time_ns_min},{r.wall_time_ns_mean}"
-        for r in rows
-    ]
+    lines = [dispatch.BENCH_CSV_HEADER] + [r.to_csv() for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -12,7 +12,7 @@ padded, because numpy has no tiles for padding to fill.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,8 +110,11 @@ class BenchRow:
     wall_time_ns_min: int
     wall_time_ns_mean: float
 
+    def to_csv(self) -> str:
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
 
-BENCH_CSV_HEADER = "active_fraction,slots_executed,wall_time_ns_min,wall_time_ns_mean"
+
+BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def bench_dispatch(

@@ -3,7 +3,7 @@ load-balancing loss, and the residual block with optional shared experts."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,14 +71,14 @@ class Expert:
     def init_random(
         cls, d_h: int, d_ff: int, rng: np.random.Generator, std: float = 0.02
     ) -> "Expert":
-        return cls(
-            w_gate=Tensor(rng.normal(0.0, std, (d_h, d_ff)), requires_grad=True),
-            w_up=Tensor(rng.normal(0.0, std, (d_h, d_ff)), requires_grad=True),
-            w_down=Tensor(rng.normal(0.0, std, (d_ff, d_h)), requires_grad=True),
-        )
+        shapes = ((d_h, d_ff), (d_h, d_ff), (d_ff, d_h))  # the fields' shapes, in order
+        return cls(*(Tensor(rng.normal(0.0, std, s), requires_grad=True) for s in shapes))
 
     def tensors(self) -> list[Tensor]:
-        return [self.w_gate, self.w_up, self.w_down]
+        return [getattr(self, name) for name in EXPERT_TENSORS]
+
+
+EXPERT_TENSORS = tuple(f.name for f in fields(Expert))  # the order of tensors() and checkpoints
 
 
 def expert_forward_np(x: np.ndarray, expert: Expert, activation: str = "silu") -> np.ndarray:
@@ -215,10 +215,9 @@ class MoEBlock:
 
     def named_tensors(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         out = [(f"{prefix}router_w", self.router_w)]
-        names = ("w_gate", "w_up", "w_down")  # the order of Expert.tensors()
         for group, experts in (("experts", self.experts), ("shared", self.shared)):
             for i, e in enumerate(experts):
-                out += [(f"{prefix}{group}.{i}.{n}", t) for n, t in zip(names, e.tensors())]
+                out += [(f"{prefix}{group}.{i}.{n}", getattr(e, n)) for n in EXPERT_TENSORS]
         if self.norm_w is not None:
             out.append((f"{prefix}norm_w", self.norm_w))
         if self.mask_router is not None:
@@ -341,19 +340,18 @@ def moe_block_forward(
     shared_experts: list[Expert] = (),
     *,
     compute_ids: np.ndarray,
-    norm_weight: Tensor | None = None,
     x_norm: Tensor | None = None,
     activation: str = "silu",
 ) -> Tensor:
-    """Residual MoE update h' = h + sum_i ghat_i E_i(N(h)) + shared terms.
+    """Residual MoE update h' = h + sum_i ghat_i E_i(x_norm) + shared terms.
 
     ``compute_ids`` (T, C) is the block's slot set, -1 marking no slot, and
     every listed token/expert pair runs (``group_slots``); the weights obey
     ``slot_weights``. A zero-weight slot costs its forward only and gives its
-    weight the gradient the straight-through mask needs. With no slot and no
-    shared expert the input is returned unchanged. Per-token accumulation
-    runs in ascending expert order in every execution path, so alternative
-    dispatch routes can be compared at tight tolerances.
+    weight the gradient the straight-through mask needs. ``x_norm`` is
+    ``MoEBlock.normalize(h)``, h when None. With no slot and no shared expert
+    the input is returned unchanged. Per-token accumulation runs in ascending
+    expert order in every path, so dispatch routes compare at tight tolerances.
     """
     t = h.shape[0]
     n = len(experts)
@@ -365,8 +363,7 @@ def moe_block_forward(
     offsets, token_order = group_slots(slot_ids, n)
     slot_w = slot_weights(weights_hat.data, offsets, token_order)
 
-    if x_norm is None:
-        x_norm = rms_norm(h, norm_weight) if norm_weight is not None else h
+    x_norm = h if x_norm is None else x_norm
 
     y: Tensor | None = None
     if token_order.size:

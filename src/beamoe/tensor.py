@@ -357,6 +357,8 @@ def softmax_np(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
+    # a NaN or +inf kept logit makes its whole row NaN; dropped entries stay 0
+    np.copyto(z, 0.0, where=~keep)
     return z
 
 
@@ -475,12 +477,15 @@ def binarize_ste(x: Tensor, threshold: float) -> Tensor:
     return out
 
 
-def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
+RMS_EPS = 1e-6
+
+
+def rms_norm(x: Tensor, weight: Tensor) -> Tensor:
     """Root-mean-square normalization over the last axis with learnable scale."""
     x, weight = _as_tensor(x), _as_tensor(weight)
     d = x.data.shape[-1]
     # the sum and divide that numpy's mean runs, without its Python wrapper
-    ms = (x.data * x.data).sum(axis=-1, keepdims=True) / d + eps
+    ms = (x.data * x.data).sum(axis=-1, keepdims=True) / d + RMS_EPS
     inv = ms**-0.5
     normed = x.data * inv
     out = Tensor._raw(normed * weight.data, x.requires_grad or weight.requires_grad)

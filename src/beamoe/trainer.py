@@ -65,20 +65,10 @@ class ModelConfig:
         self.strategy.validate(self.block_config())
 
     def block_config(self) -> MoEBlockConfig:
-        return MoEBlockConfig(
-            d_h=self.d_h,
-            d_ff=self.d_ff,
-            num_experts=self.num_experts,
-            top_k=self.top_k,
-            num_shared=self.num_shared,
-            has_norm=self.has_norm,
-            activation=self.activation,
-        )
+        return MoEBlockConfig(**{f.name: getattr(self, f.name) for f in fields(MoEBlockConfig)})
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["strategy"] = {"kind": self.strategy.kind, "params": dict(self.strategy.params)}
-        return d
+        return asdict(self)
 
 
 @dataclass
@@ -195,13 +185,7 @@ class TinyMoELM:
         out = [("wte", self.wte), ("wpe", self.wpe)]
         for i, layer in enumerate(self.layers):
             pre = f"layers.{i}."
-            out += [
-                (pre + "attn_norm", layer["attn_norm"]),
-                (pre + "wq", layer["wq"]),
-                (pre + "wk", layer["wk"]),
-                (pre + "wv", layer["wv"]),
-                (pre + "wo", layer["wo"]),
-            ]
+            out += [(pre + name, t) for name, t in layer.items() if name != "block"]
             out += layer["block"].named_tensors(pre + "block.")
         out += [("final_norm", self.final_norm), ("lm_head", self.lm_head)]
         return out
@@ -302,27 +286,29 @@ def clip_gradients(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
-class Adam:
-    """Adaptive-moment optimizer, standard defaults, no weight decay."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: list[Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adaptive-moment optimizer, standard constants, no weight decay."""
+
+    def __init__(self, params: list[Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else 0.0
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g if p.grad is not None else 0.0)
-            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g if p.grad is not None else 0.0)
+            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def _mean_tensors(values: list[Tensor]) -> Tensor:
@@ -543,7 +529,7 @@ def load_checkpoint(path, strategy: RoutingStrategy | None = None) -> TinyMoELM:
     cfg_dict = json_section()
     vocab = json_section() if version == 2 else None
     if strategy is not None:
-        cfg_dict["strategy"] = {"kind": strategy.kind, "params": dict(strategy.params)}
+        cfg_dict["strategy"] = asdict(strategy)
     cfg = ModelConfig(**cfg_dict)
     if vocab is not None and (
         len(vocab) != cfg.vocab_size or not all(isinstance(ch, str) for ch in vocab)
@@ -654,9 +640,12 @@ def evaluate(
     cfg = model.cfg
     t = cfg.context_length
     n_windows = (len(corpus_ids) - 1) // t
+    for name, value in (("batch_size", batch_size), ("max_windows", max_windows)):
+        if value is not None and not isinstance(value, (int, np.integer)):
+            raise ContractError(f"{name} must be an integer, got {value!r}")
+        if value is not None and value < 1:
+            raise ContractError(f"{name} must be >= 1, got {value!r}")
     if max_windows is not None:
-        if max_windows < 1:
-            raise ContractError(f"max_windows must be >= 1, got {max_windows}")
         n_windows = min(n_windows, max_windows)
     if n_windows < 1:
         raise ContractError("corpus too small to evaluate")

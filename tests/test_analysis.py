@@ -246,6 +246,12 @@ class TestFlops:
         with pytest.raises(ContractError):
             FlopsModel(8, 8, 8, 2, 0, avg_k=2.5)
 
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_top_k_below_one_rejected(self, top_k):
+        # top_k 0 with avg_k 0 would divide by zero in flops_reduction
+        with pytest.raises(ContractError, match=f"^top_k must be >= 1, got {top_k}$"):
+            FlopsModel(8, 8, 8, top_k, 0, avg_k=0.0)
+
 
 class TestReports:
     def test_round_trip(self, tmp_path):
@@ -568,6 +574,37 @@ class TestRecordValidation:
         with pytest.raises(ContractError, match="0 or 1"):
             trace.record_cell(0, 0, 0, [0, 1, 2, 3], bits, "prefill", 0)
         assert len(trace) == 0
+
+    @pytest.mark.parametrize(
+        "field,args",
+        [
+            ("expert_ids", (0, 0, 0, [1.7, 2], [1, 1], "prefill", 0)),
+            ("expert_ids", (0, 0, 0, np.array([[1.0, 2.0]]), [[1, 1]], "prefill", 0)),
+            ("sequence_id", (0.5, 0, 0, [1, 2], [1, 1], "prefill", 0)),
+            ("sequence_id", ([0, 1.5], 0, 0, [[1, 2], [3, 4]], [[1, 1], [1, 0]], "prefill", 0)),
+            ("position", (0, 2.5, 0, [1, 2], [1, 1], "prefill", 0)),
+            ("position", (0, np.array([3.0, 4.0]), 0, [[1, 2], [3, 4]], [[1, 1], [1, 0]], "prefill", 0)),
+            ("layer", (0, 0, 1.7, [1, 2], [1, 1], "prefill", 0)),
+            ("token_id", (0, 0, 0, [1, 2], [1, 1], "prefill", 3.2)),
+        ],
+    )
+    def test_non_integer_field_rejected(self, field, args):
+        # int64 conversion would truncate 1.7 to 1; from_csv rejects the same text
+        trace = SparsityTrace()
+        with pytest.raises(ContractError, match=f"^{field} must be integers, got float64$"):
+            trace.record_cell(*args)
+        assert len(trace) == 0
+
+    def test_integer_fields_of_any_width_accepted(self):
+        trace = SparsityTrace()
+        trace.record_cell(np.int32(1), np.uint8(2), np.int16(1), np.array([3, 0], np.uint16), [1, 0], "decode", 7)
+        trace.record_cell(np.array([4, 5], np.int8), 0, 0, [[1, 2], [3, 4]], [[1, 1], [1, 0]], "prefill", [8, 9])
+        columns = trace.arrays()
+        assert columns["sequence_id"].tolist() == [1, 1, 4, 4, 5, 5]
+        assert columns["position"].tolist() == [2, 2, 0, 0, 0, 0]
+        assert columns["layer"].tolist() == [1, 1, 0, 0, 0, 0]
+        assert columns["expert_id"].tolist() == [3, 0, 1, 2, 3, 4]
+        assert columns["token_id"].tolist() == [7, 7, 8, 8, 9, 9]
 
     def test_bool_and_float_bits_accepted(self):
         trace = SparsityTrace()

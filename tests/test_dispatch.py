@@ -3,7 +3,7 @@ import pytest
 
 from beamoe import dispatch, moe
 from beamoe.baselines import KINDS, RoutingStrategy, block_forward, build_block
-from beamoe.dispatch import align_block, bench_dispatch, grouped_execute, naive_execute
+from beamoe.dispatch import BenchRow, align_block, bench_dispatch, grouped_execute, naive_execute
 from beamoe.moe import Expert, MoEBlockConfig, moe_block_forward
 from beamoe.tensor import ContractError, Tape, Tensor, cross_entropy, reshape
 from beamoe.trainer import ModelConfig, TinyMoELM, evaluate
@@ -168,6 +168,12 @@ class TestBench:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ContractError):
             bench_dispatch(8, 4, 2, 4, 4, active_fractions=[0.0], repetitions=1)
+
+    def test_csv_columns_are_the_row_fields(self):
+        # the header and each row's text follow BenchRow's fields, in order
+        row = BenchRow(active_fraction=0.25, slots_executed=12, wall_time_ns_min=340, wall_time_ns_mean=351.5)
+        assert dispatch.BENCH_CSV_HEADER == "active_fraction,slots_executed,wall_time_ns_min,wall_time_ns_mean"
+        assert row.to_csv() == "0.25,12,340,351.5"
 
     @pytest.mark.parametrize(
         "override,message",

@@ -170,7 +170,8 @@ class TestFusedExpertOracle:
         def record():
             with Tape() as tape:
                 out = moe_block_forward(
-                    h, weights, experts, shared, compute_ids=nonzero_ids(weights), norm_weight=norm_w
+                    h, weights, experts, shared, compute_ids=nonzero_ids(weights),
+                    x_norm=rms_norm(h, norm_w),
                 )
             return out.data, len(tape.nodes)
 
@@ -374,7 +375,8 @@ class TestMoeBlockForward:
         norm_w = Tensor(np.ones(4))
         weights = np.zeros((5, 3))
         out = moe_block_forward(
-            h, Tensor(weights), experts, shared, compute_ids=nonzero_ids(weights), norm_weight=norm_w
+            h, Tensor(weights), experts, shared, compute_ids=nonzero_ids(weights),
+            x_norm=rms_norm(h, norm_w),
         )
         xn = rms_norm(h, norm_w)
         expected = h.data + expert_forward(xn, shared[0]).data
@@ -399,7 +401,7 @@ class TestMoeBlockForward:
             dec = topk_route(rms_norm(h, norm_w), Tensor(rng.normal(size=(d_h, n))), k)
             out = moe_block_forward(
                 h, dec.weights, experts, compute_ids=nonzero_ids(dec.weights),
-                norm_weight=norm_w, activation="silu",
+                x_norm=rms_norm(h, norm_w), activation="silu",
             )
             xn = rms_norm(h, norm_w).data
             expected = h.data.copy()
@@ -483,11 +485,15 @@ class TestGroupedGluOracle:
             p.requires_grad = True
         kw = dict(
             h=h, weights_hat=weights_hat, experts=experts, shared_experts=shared,
-            norm_weight=norm_w, activation=activation,
+            activation=activation,
             compute_ids=compute_ids if closed_slots_run else nonzero_ids(weights_hat),
         )
-        ref_out, ref_grads = self._run(per_expert_moe_block_forward, params, upstream, **kw)
-        out, grads = self._run(moe_block_forward, params, upstream, **kw)
+        ref_out, ref_grads = self._run(
+            per_expert_moe_block_forward, params, upstream, norm_weight=norm_w, **kw
+        )
+        out, grads = self._run(
+            lambda **kw: moe_block_forward(x_norm=rms_norm(h, norm_w), **kw), params, upstream, **kw
+        )
         assert np.array_equal(out, ref_out)
         for ref, got in zip(ref_grads, grads):
             scale = np.max(np.abs(ref)) if ref.size else 0.0
@@ -522,8 +528,10 @@ class TestGroupedGluOracle:
         h, norm_w, weights_hat, experts, _, compute_ids, _ = self._case(20, 0)
         ids = compute_ids.copy()
         ids[4] = -1  # both of token 4's slots weigh 0
-        out = moe_block_forward(h, weights_hat, experts, compute_ids=ids, norm_weight=norm_w)
-        want = moe_block_forward(h, weights_hat, experts, compute_ids=compute_ids, norm_weight=norm_w)
+        out = moe_block_forward(h, weights_hat, experts, compute_ids=ids, x_norm=rms_norm(h, norm_w))
+        want = moe_block_forward(
+            h, weights_hat, experts, compute_ids=compute_ids, x_norm=rms_norm(h, norm_w)
+        )
         assert np.array_equal(out.data, want.data)
 
 

@@ -195,6 +195,7 @@ class TestSoftmax:
             want = reference_softmax_np(np.where(keep, x, NEG_SENTINEL), NEG_SENTINEL)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
             assert np.all(got[~keep] == 0.0)
 
     def test_masked_path_gradient_equals_sentinel_chain(self):
@@ -215,6 +216,18 @@ class TestSoftmax:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ContractError, match="every entry masked"):
             softmax_np(x, np.array([[True, False], [False, False]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kept_logit_leaves_dropped_entries_zero(self, bad):
+        # a NaN max or sum spreads NaN over the kept entries only
+        keep = np.array([[True, True, False, False], [True, True, True, False], [True, False, False, True]])
+        x = np.array([[bad, 1.0, 2.0, np.nan], [bad, bad, 0.0, 5.0], [bad, np.inf, -np.inf, bad]])
+        with np.errstate(invalid="ignore"):
+            got = softmax_np(x, keep)
+        assert np.array_equal(got[~keep], np.zeros(np.count_nonzero(~keep)))
+        assert not np.signbit(got[~keep]).any()
+        got = softmax_np(np.array([[np.nan, 1.0, 2.0]]), np.array([[True, True, False]]))
+        assert np.isnan(got[0, :2]).all() and got[0, 2] == 0.0 and not np.signbit(got[0, 2])
 
 
 def _attention_grads(op, q, k, v, n_heads, upstream):

@@ -1,3 +1,5 @@
+import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +269,28 @@ class TestWindowSlicing:
             assert xs.dtype == want_x.dtype and np.array_equal(xs, want_x)
             assert np.array_equal(ys, want_y.reshape(-1))
 
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+            (dict(batch_size=-1), "batch_size must be >= 1, got -1"),
+            (dict(batch_size=2.0), "batch_size must be an integer, got 2.0"),
+            (dict(max_windows=2.5), "max_windows must be an integer, got 2.5"),
+            (dict(max_windows=0), "max_windows must be >= 1, got 0"),
+        ],
+    )
+    def test_evaluate_bad_window_count_rejected(self, corpus, kw, message):
+        ids, vocab = corpus
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            evaluate(TinyMoELM(small_model_cfg(len(vocab))), ids, **kw)
+
+    def test_evaluate_numpy_integer_window_counts_accepted(self, corpus):
+        ids, vocab = corpus
+        model = TinyMoELM(small_model_cfg(len(vocab)))
+        want = evaluate(model, ids, max_windows=5, batch_size=2)
+        got = evaluate(model, ids, max_windows=np.int64(5), batch_size=np.int32(2))
+        assert got == want
+
     def test_train_trace_bytes_equal_stacked_batches(self, corpus, monkeypatch, tmp_path):
         ids, vocab = corpus
         model_cfg = small_model_cfg(len(vocab), RoutingStrategy("beam"))
@@ -280,6 +304,42 @@ class TestWindowSlicing:
 
 
 class TestCheckpoint:
+    def test_parameter_names_in_checkpoint_order(self, tmp_path):
+        # the names are derived from the layer dict and Expert's fields; a
+        # reordering would reorder checkpoint blobs
+        cfg = replace(
+            small_model_cfg(12, RoutingStrategy("beam")), n_layers=2, num_experts=2, top_k=1, num_shared=1
+        )
+        model = TinyMoELM(cfg)
+        layer = [
+            "attn_norm", "wq", "wk", "wv", "wo",
+            "block.router_w",
+            "block.experts.0.w_gate", "block.experts.0.w_up", "block.experts.0.w_down",
+            "block.experts.1.w_gate", "block.experts.1.w_up", "block.experts.1.w_down",
+            "block.shared.0.w_gate", "block.shared.0.w_up", "block.shared.0.w_down",
+            "block.norm_w",
+            "block.mask_w",
+        ]
+        want = (
+            ["wte", "wpe"]
+            + [f"layers.0.{n}" for n in layer]
+            + [f"layers.1.{n}" for n in layer]
+            + ["final_norm", "lm_head"]
+        )
+        assert [name for name, _ in model.named_parameters()] == want
+        assert list(model.snapshot()) == want
+        lookup = dict(model.named_parameters())
+        block = model.layers[1]["block"]
+        assert lookup["layers.1.wk"] is model.layers[1]["wk"]
+        assert lookup["layers.1.block.mask_w"] is block.mask_router.weight
+        for n in ("w_gate", "w_up", "w_down"):
+            assert lookup[f"layers.1.block.experts.1.{n}"] is getattr(block.experts[1], n)
+            assert lookup[f"layers.1.block.shared.0.{n}"] is getattr(block.shared[0], n)
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        offsets = [blob.index(struct.pack("<I", len(n)) + n.encode()) for n in want]
+        assert offsets == sorted(offsets)
+
     def test_round_trip_bit_identical(self, corpus, tmp_path):
         ids, vocab = corpus
         cfg = small_model_cfg(len(vocab), RoutingStrategy("beam"))

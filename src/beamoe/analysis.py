@@ -39,6 +39,8 @@ def _integers(value, name: str) -> np.ndarray:
     array = np.asarray(value)
     if array.dtype.kind not in "iu" and array.size:
         raise ContractError(f"{name} must be integers, got {array.dtype}")
+    if array.dtype == np.uint64 and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ContractError(f"{name} must be below 2**63, got {array.max()}")
     return array.astype(np.int64)
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .baselines import RouteResult, RoutingStrategy, build_block, block_forward
+from .baselines import RouteResult, RoutingStrategy, build_block, block_forward, is_number
 from .beam import sparsity_loss
 from .moe import MoEBlockConfig, balance_loss_from
 from .tensor import (
@@ -406,39 +406,48 @@ def synthetic_text(length: int, seed: int) -> str:
     Arithmetic facts and repeated n-grams are highly predictable once
     learned; the random-letter runs are not. The mix gives per-token
     difficulty variation, which is what makes learned masking interesting.
+
+    The sequence of ``rng.integers`` calls (their bounds, sizes and order) is
+    the corpus contract: any change to it gives another text, and the
+    acceptance criteria are calibrated on ``synthetic_text(102400, 7)``.
     """
     if length < 1:
         raise ContractError("synthetic corpus length must be positive")
-    rng = np.random.default_rng(seed)
-    words = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "to", "sun"]
+    draw = np.random.default_rng(seed).integers
+    words = ("the", "cat", "sat", "on", "a", "mat", "dog", "ran", "to", "sun")
+    letter, word = "abcdefghijklmnopqrstuvwxyz".__getitem__, words.__getitem__
     parts: list[str] = []
     total = 0
     while total < length:
-        kind = int(rng.integers(0, 4))
+        kind = int(draw(0, 4))
         if kind == 0:
-            a, b = int(rng.integers(0, 50)), int(rng.integers(0, 50))
+            a, b = int(draw(0, 50)), int(draw(0, 50))
             s = f"{a}+{b}={a + b};"
         elif kind == 1:
-            pat = "".join(chr(97 + int(c)) for c in rng.integers(0, 26, rng.integers(2, 5)))
-            s = pat * int(rng.integers(3, 8)) + " "
+            pat = "".join(map(letter, draw(0, 26, int(draw(2, 5))).tolist()))
+            s = pat * int(draw(3, 8)) + " "
         elif kind == 2:
-            s = " ".join(words[int(i)] for i in rng.integers(0, len(words), rng.integers(3, 7)))
-            s += ". "
+            s = " ".join(map(word, draw(0, len(words), int(draw(3, 7))).tolist())) + ". "
         else:
-            s = "".join(chr(97 + int(c)) for c in rng.integers(0, 26, rng.integers(3, 10)))
-            s += " "
+            s = "".join(map(letter, draw(0, 26, int(draw(3, 10))).tolist())) + " "
         parts.append(s)
         total += len(s)
     return "".join(parts)[:length]
 
 
 def ingest_text(text: str) -> tuple[np.ndarray, list[str]]:
-    """Character-level ids plus the sorted-unique-character vocabulary."""
+    """Character-level ids plus the sorted-unique-character vocabulary.
+
+    The vocabulary is sorted by codepoint, so ids follow codepoint order; a
+    lone surrogate is a character like any other.
+    """
     if not text:
         raise ContractError("empty corpus")
     vocab = sorted(set(text))
-    lookup = {ch: i for i, ch in enumerate(vocab)}
-    ids = np.fromiter((lookup[ch] for ch in text), dtype=np.int64, count=len(text))
+    codepoints = np.array([ord(ch) for ch in vocab])
+    table = np.zeros(codepoints[-1] + 1, dtype=np.int64)
+    table[codepoints] = np.arange(len(vocab))
+    ids = table[np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)]
     return ids, vocab
 
 
@@ -641,7 +650,7 @@ def evaluate(
     t = cfg.context_length
     n_windows = (len(corpus_ids) - 1) // t
     for name, value in (("batch_size", batch_size), ("max_windows", max_windows)):
-        if value is not None and not isinstance(value, (int, np.integer)):
+        if value is not None and not is_number(value, True):
             raise ContractError(f"{name} must be an integer, got {value!r}")
         if value is not None and value < 1:
             raise ContractError(f"{name} must be >= 1, got {value!r}")
@@ -704,6 +713,8 @@ def sample_greedy(
     prompt = np.asarray(prompt_ids, dtype=np.int64)
     if prompt.ndim != 1 or prompt.size == 0:
         raise ContractError("prompt must be a non-empty 1-d sequence of ids")
+    if not is_number(max_new_tokens, True):
+        raise ContractError(f"max_new_tokens must be an integer, got {max_new_tokens!r}")
     if max_new_tokens < 0:
         raise ContractError("max_new_tokens must be >= 0")
     ids = list(prompt[-cfg.context_length :])

@@ -83,6 +83,11 @@
   descending-probability order. ``baselines.route``, which asks
   ``topk_route`` for every expert and renormalizes with the kept-set
   softmax, must agree with it within two ulps of 1.
+- ``reference_synthetic_text`` and ``reference_ingest_text``, the corpus
+  builders that formed every character with ``chr(97 + int(c))`` and mapped
+  text to ids through a dict lookup per character:
+  ``trainer.synthetic_text``'s table lookups must give the same text and
+  ``trainer.ingest_text``'s codepoint table the same ids and vocabulary.
 """
 
 import csv
@@ -859,3 +864,45 @@ def reference_eval_windows(corpus_ids, t, start, count):
     xs = np.stack([corpus_ids[i * t : i * t + t] for i in range(start, start + count)])
     ys = np.stack([corpus_ids[i * t + 1 : i * t + t + 1] for i in range(start, start + count)])
     return xs, ys
+
+
+def reference_synthetic_text(length: int, seed: int) -> str:
+    """Seeded mixture of predictable structure and noise.
+
+    Arithmetic facts and repeated n-grams are highly predictable once
+    learned; the random-letter runs are not. The mix gives per-token
+    difficulty variation, which is what makes learned masking interesting.
+    """
+    if length < 1:
+        raise ContractError("synthetic corpus length must be positive")
+    rng = np.random.default_rng(seed)
+    words = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "to", "sun"]
+    parts: list[str] = []
+    total = 0
+    while total < length:
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            a, b = int(rng.integers(0, 50)), int(rng.integers(0, 50))
+            s = f"{a}+{b}={a + b};"
+        elif kind == 1:
+            pat = "".join(chr(97 + int(c)) for c in rng.integers(0, 26, rng.integers(2, 5)))
+            s = pat * int(rng.integers(3, 8)) + " "
+        elif kind == 2:
+            s = " ".join(words[int(i)] for i in rng.integers(0, len(words), rng.integers(3, 7)))
+            s += ". "
+        else:
+            s = "".join(chr(97 + int(c)) for c in rng.integers(0, 26, rng.integers(3, 10)))
+            s += " "
+        parts.append(s)
+        total += len(s)
+    return "".join(parts)[:length]
+
+
+def reference_ingest_text(text: str) -> tuple[np.ndarray, list[str]]:
+    """Character-level ids plus the sorted-unique-character vocabulary."""
+    if not text:
+        raise ContractError("empty corpus")
+    vocab = sorted(set(text))
+    lookup = {ch: i for i, ch in enumerate(vocab)}
+    ids = np.fromiter((lookup[ch] for ch in text), dtype=np.int64, count=len(text))
+    return ids, vocab

@@ -606,6 +606,31 @@ class TestRecordValidation:
         assert columns["expert_id"].tolist() == [3, 0, 1, 2, 3, 4]
         assert columns["token_id"].tolist() == [7, 7, 8, 8, 9, 9]
 
+    @pytest.mark.parametrize(
+        "field,args",
+        [
+            ("position", (0, np.array([2**63], np.uint64), 0, [1], [1], "prefill", 0)),
+            ("position", (0, 2**63, 0, [1], [1], "prefill", 0)),
+            ("sequence_id", (np.uint64(2**64 - 1), 0, 0, [1], [1], "prefill", 0)),
+            ("expert_ids", (0, 0, 0, np.array([1, 2**63], np.uint64), [1, 1], "prefill", 0)),
+            ("layer", (0, 0, np.uint64(2**63), [1], [1], "prefill", 0)),
+            ("token_id", (0, 0, 0, [[1], [2]], [[1], [1]], "prefill", np.array([0, 2**63], np.uint64))),
+        ],
+    )
+    def test_uint64_beyond_int64_rejected(self, field, args):
+        # astype(int64) would wrap 2**63 to -2**63
+        trace = SparsityTrace()
+        with pytest.raises(ContractError, match=f"^{field} must be below 2\\*\\*63, got \\d+$"):
+            trace.record_cell(*args)
+        assert len(trace) == 0
+
+    def test_uint64_within_int64_accepted(self):
+        trace = SparsityTrace()
+        top = 2**63 - 1
+        trace.record_cell(0, np.array([top], np.uint64), 0, np.array([3], np.uint64), [1], "prefill", 0)
+        assert trace.arrays()["position"].tolist() == [top]
+        assert trace.arrays()["expert_id"].tolist() == [3]
+
     def test_bool_and_float_bits_accepted(self):
         trace = SparsityTrace()
         trace.record_cell(0, 0, 0, [0, 1], np.array([True, False]), "prefill", 0)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 from dataclasses import replace
@@ -29,8 +30,10 @@ from beamoe.trainer import (
 )
 from reference_ops import (
     reference_eval_windows,
+    reference_ingest_text,
     reference_sample_batch,
     reference_sample_greedy,
+    reference_synthetic_text,
     reference_write_trace,
     save_checkpoint_v1,
 )
@@ -113,6 +116,34 @@ class TestCorpus:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             ingest_text("")
+
+    def test_nonpositive_length_rejected(self):
+        with pytest.raises(ContractError, match="must be positive"):
+            synthetic_text(0, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 99, 2**31, 2**40])
+    @pytest.mark.parametrize("length", [1, 2, 7, 13, 1000, 12345, 102400])
+    def test_corpus_equals_reference(self, length, seed):
+        text = synthetic_text(length, seed)
+        assert text == reference_synthetic_text(length, seed)
+        ids, vocab = ingest_text(text)
+        want_ids, want_vocab = reference_ingest_text(text)
+        assert vocab == want_vocab
+        assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+
+    @pytest.mark.parametrize(
+        "text", ["héllo wörld", "naïve ✓ 😀 ok 😀", "a\x00b\x00", "a\ud800b", "😀", "\U0010ffff\x00"]
+    )
+    def test_ingest_equals_reference_beyond_ascii(self, text):
+        ids, vocab = ingest_text(text)
+        want_ids, want_vocab = reference_ingest_text(text)
+        assert vocab == want_vocab
+        assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+
+    def test_study_corpus_pinned(self):
+        # criteria 5-7 and 12 are calibrated on this corpus
+        digest = hashlib.sha256(synthetic_text(102400, 7).encode()).hexdigest()
+        assert digest == "2581f3eb9817bfb84590227e6e6e437172dfbe8b7e1d618d22a1f8b02dc805c3"
 
     def test_ingest_corpus_file(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -277,6 +308,8 @@ class TestWindowSlicing:
             (dict(batch_size=2.0), "batch_size must be an integer, got 2.0"),
             (dict(max_windows=2.5), "max_windows must be an integer, got 2.5"),
             (dict(max_windows=0), "max_windows must be >= 1, got 0"),
+            (dict(batch_size=True), "batch_size must be an integer, got True"),
+            (dict(max_windows=True), "max_windows must be an integer, got True"),
         ],
     )
     def test_evaluate_bad_window_count_rejected(self, corpus, kw, message):
@@ -691,8 +724,20 @@ class TestGreedyDecode:
 
     def test_negative_max_new_tokens_rejected(self):
         model = drawn_model(RoutingStrategy("beam"))
-        with pytest.raises(ContractError, match="max_new_tokens"):
+        with pytest.raises(ContractError, match="^max_new_tokens must be >= 0$"):
             sample_greedy(model, np.arange(4), -2)
+
+    @pytest.mark.parametrize("count", [True, 2.0, "3", None])
+    def test_non_integer_max_new_tokens_rejected(self, count):
+        model = drawn_model(RoutingStrategy("beam"))
+        message = f"max_new_tokens must be an integer, got {count!r}"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            sample_greedy(model, np.arange(4), count)
+
+    def test_numpy_integer_max_new_tokens_accepted(self):
+        model = drawn_model(RoutingStrategy("beam"))
+        want = sample_greedy(model, np.arange(4), 3)
+        assert np.array_equal(sample_greedy(model, np.arange(4), np.int64(3)), want)
 
 
 class TestBetaZeroParity:

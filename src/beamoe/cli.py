@@ -219,6 +219,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.max_new_tokens < 0:
+        raise ConfigError(f"--max-new-tokens must be >= 0, got {args.max_new_tokens}")
+    if args.max_new_tokens and not args.greedy:
+        raise ConfigError("--max-new-tokens needs --greedy, the only decoder")
     resolved = load_config(args.config)
     corpus_ids, vocab, _, _ = build_run(resolved)
     model = load_checkpoint(args.checkpoint)
@@ -247,7 +251,7 @@ def cmd_eval(args) -> int:
         trace_sampling=resolved["trace_sampling"],
     )
     text = None
-    if args.greedy and args.max_new_tokens > 0:
+    if args.max_new_tokens:
         prompt = corpus_ids[: model.cfg.context_length]
         generated = sample_greedy(
             model,

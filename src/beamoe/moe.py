@@ -13,7 +13,6 @@ from .tensor import (
     Tensor,
     _record,
     _send,
-    add,
     matmul,
     mul,
     rms_norm,
@@ -280,27 +279,45 @@ def slot_weights(weights: np.ndarray, offsets: np.ndarray, token_order: np.ndarr
     return w
 
 
-def grouped_glu(
-    x: Tensor,
+def moe_block_forward(
+    h: Tensor,
     weights_hat: Tensor,
-    slot_w: np.ndarray,
-    offsets: np.ndarray,
-    token_order: np.ndarray,
     experts: list[Expert],
+    shared_experts: list[Expert] = (),
+    *,
+    compute_ids: np.ndarray,
+    x_norm: Tensor | None = None,
     activation: str = "silu",
 ) -> Tensor:
-    """y[r] = sum_e ghat[r, e] * E_e(x[r]) over each expert's rows, as one
-    tape node.
+    """Residual MoE update h' = h + sum_i ghat_i E_i(x_norm) + shared terms,
+    as one tape node.
 
-    Expert e's rows, ``token_order[offsets[e]:offsets[e + 1]]`` from
-    ``group_slots``, run through ``expert_forward`` with recording suspended,
-    weighted by ``slot_w`` from ``slot_weights``; y accumulates in ascending
-    expert order. In the backward the weight gradient (g[r] . E_e(x[r]))
-    reaches every slot, zero-weight ones included (the straight-through mask
-    needs it), while ``expert_backward`` differentiates the expert weights
-    and x on the slots with a nonzero weight only.
+    ``compute_ids`` (T, C) is the block's slot set, -1 marking no slot, and
+    every listed token/expert pair runs (``group_slots``); the weights obey
+    ``slot_weights``. ``x_norm`` is ``MoEBlock.normalize(h)``, h when None.
+    Routed rows and shared experts run through ``expert_forward`` with
+    recording suspended; routed outputs accumulate in ascending expert order
+    in every path, so dispatch routes compare at tight tolerances. In the
+    backward the weight gradient (g[r] . E_e(x[r])) reaches every slot,
+    zero-weight ones included (the straight-through mask needs it), while
+    ``expert_backward`` differentiates the expert weights and x on the slots
+    with a nonzero weight only. With no slot and no shared expert the input
+    is returned unchanged.
     """
-    y = np.zeros(x.shape)
+    t = h.shape[0]
+    n = len(experts)
+    if weights_hat.shape != (t, n):
+        raise ShapeError("weights_hat must be (tokens, num_experts)")
+    slot_ids = np.asarray(compute_ids, dtype=np.int64)
+    if slot_ids.ndim != 2 or slot_ids.shape[0] != t:
+        raise ShapeError("compute_ids must be (tokens, slots)")
+    offsets, token_order = group_slots(slot_ids, n)
+    slot_w = slot_weights(weights_hat.data, offsets, token_order)
+    if not token_order.size and not shared_experts:
+        return h
+
+    x = h if x_norm is None else x_norm
+    y = np.zeros(x.shape) if token_order.size else None
     saved = []  # (expert id, rows, weights, outputs)
     bounds = offsets.tolist()
     with untaped():
@@ -309,14 +326,22 @@ def grouped_glu(
             o = expert_forward(Tensor._raw(x.data[rows]), experts[e], activation).data
             y[rows] += o * w[:, None]
             saved.append((e, rows, w, o))
-    requires_grad = (
-        x.requires_grad
-        or weights_hat.requires_grad
-        or any(p.requires_grad for e, *_ in saved for p in experts[e].tensors())
-    )
-    out = Tensor._raw(y, requires_grad)
+        for e in shared_experts:
+            o = expert_forward(x, e, activation).data
+            # with no routed slot y starts from the first shared output: a -0.0 keeps its sign
+            y = o if y is None else np.add(y, o, out=y)
+    used = [experts[e] for e, *_ in saved] + list(shared_experts)
+    leaves = [h, x] + ([weights_hat] if saved else []) + [p for ex in used for p in ex.tensors()]
+    out = Tensor._raw(h.data + y, any(p.requires_grad for p in leaves))
 
     def rule(g, flow):
+        # the order a per-op tape of this block sends in (residual, shared
+        # experts last to first, routed experts), so gradients sum alike
+        _send(flow, h, g)
+        for e in reversed(shared_experts):
+            _send(flow, x, expert_backward(x.data, g, e, activation, flow), owned=True)
+        if not saved:
+            return
         g_weights = np.zeros(weights_hat.shape)
         gx = np.zeros(x.shape)
         for e, rows, w, o in saved:
@@ -331,47 +356,3 @@ def grouped_glu(
 
     _record(out, rule)
     return out
-
-
-def moe_block_forward(
-    h: Tensor,
-    weights_hat: Tensor,
-    experts: list[Expert],
-    shared_experts: list[Expert] = (),
-    *,
-    compute_ids: np.ndarray,
-    x_norm: Tensor | None = None,
-    activation: str = "silu",
-) -> Tensor:
-    """Residual MoE update h' = h + sum_i ghat_i E_i(x_norm) + shared terms.
-
-    ``compute_ids`` (T, C) is the block's slot set, -1 marking no slot, and
-    every listed token/expert pair runs (``group_slots``); the weights obey
-    ``slot_weights``. A zero-weight slot costs its forward only and gives its
-    weight the gradient the straight-through mask needs. ``x_norm`` is
-    ``MoEBlock.normalize(h)``, h when None. With no slot and no shared expert
-    the input is returned unchanged. Per-token accumulation runs in ascending
-    expert order in every path, so dispatch routes compare at tight tolerances.
-    """
-    t = h.shape[0]
-    n = len(experts)
-    if weights_hat.shape != (t, n):
-        raise ShapeError("weights_hat must be (tokens, num_experts)")
-    slot_ids = np.asarray(compute_ids, dtype=np.int64)
-    if slot_ids.ndim != 2 or slot_ids.shape[0] != t:
-        raise ShapeError("compute_ids must be (tokens, slots)")
-    offsets, token_order = group_slots(slot_ids, n)
-    slot_w = slot_weights(weights_hat.data, offsets, token_order)
-
-    x_norm = h if x_norm is None else x_norm
-
-    y: Tensor | None = None
-    if token_order.size:
-        y = grouped_glu(x_norm, weights_hat, slot_w, offsets, token_order, experts, activation)
-    for e in shared_experts:
-        so = expert_forward(x_norm, e, activation)
-        y = so if y is None else add(y, so)
-
-    if y is None:
-        return h
-    return add(h, y)

@@ -343,11 +343,7 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_np(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    if keep is None:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+def softmax_np(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     if keep.shape != x.shape:
         raise ShapeError(f"keep {keep.shape} does not match softmax input {x.shape}")
     if not keep.any(axis=-1).all():
@@ -363,19 +359,18 @@ def softmax_np(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, restricted to ``keep`` when given: entries
-    outside it map to exactly 0 probability and receive exactly +0 gradient."""
+    """Softmax over the last axis, restricted to ``keep`` (every entry when
+    None): entries outside it map to exactly 0 probability and receive
+    exactly +0 gradient."""
     x = _as_tensor(x)
-    if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
+    keep = np.ones(x.shape, dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
     y = softmax_np(x.data, keep)
     out = Tensor._raw(y, x.requires_grad)
 
     def rule(g, flow):
         dot = (g * y).sum(axis=-1, keepdims=True)
         gx = y * (g - dot)
-        if keep is not None:
-            np.copyto(gx, 0.0, where=~keep)
+        np.copyto(gx, 0.0, where=~keep)
         _send(flow, x, gx, owned=True)
 
     _record(out, rule)

@@ -35,6 +35,15 @@ from .tensor import (
 )
 
 
+def _check_integers(cfg, nullable: tuple[str, ...] = ()) -> None:
+    """Every int field of a dataclass holds an integer that is not a bool
+    (``is_number``), or None if the field is ``nullable``."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" and not (is_number(value, True) or value is None and f.name in nullable):
+            raise ContractError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -54,6 +63,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # cli.load_config checks a config before the corpus gives vocab_size
+        _check_integers(self, nullable=("vocab_size",))
         if isinstance(self.strategy, dict):
             self.strategy = RoutingStrategy(**self.strategy)
         if self.n_layers < 1 or self.n_heads < 1:
@@ -83,6 +94,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
@@ -140,8 +152,8 @@ class TrainingDiverged(RuntimeError):
     """Raised when the loss goes non-finite; the model has been rolled back
     to the last state that produced a finite loss."""
 
-    def __init__(self, step: int, rows: list[TraceRow]):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, rows: list[TraceRow], cause: NumericError):
+        super().__init__(f"non-finite loss at step {step}: {cause}")
         self.step = step
         self.rows = rows
 
@@ -365,10 +377,10 @@ def train(
                 reg = Tensor._raw(np.asarray(0.0))
             try:
                 loss = total_loss(lm, bal, reg, train_cfg.alpha, train_cfg.beta)
-            except NumericError:
+            except NumericError as e:
                 if good is not None:
                     model.restore(good)
-                raise TrainingDiverged(step, rows)
+                raise TrainingDiverged(step, rows, e) from e
             tape.backward(loss)
 
         good = model.snapshot()
@@ -639,12 +651,12 @@ def evaluate(
     trace=None,
     binarize_soft: bool = False,
     trace_sampling: float = 1.0,
-    trace_seed: int = 0,
 ) -> EvalResult:
     """Held-out perplexity over non-overlapping windows, inference path.
 
     Masked experts are skipped through the dispatch plan; routing decisions
-    are optionally recorded into ``trace`` (phase "prefill").
+    are optionally recorded into ``trace`` (phase "prefill"), each position
+    with probability ``trace_sampling`` under one seed-0 draw.
     """
     cfg = model.cfg
     t = cfg.context_length
@@ -660,7 +672,7 @@ def evaluate(
         raise ContractError("corpus too small to evaluate")
     if not 0.0 < trace_sampling <= 1.0:
         raise ContractError("trace_sampling must lie in (0, 1]")
-    sample_rng = np.random.default_rng(trace_seed)
+    sample_rng = np.random.default_rng(0)
 
     total_nll = 0.0
     total_tokens = 0
@@ -680,10 +692,8 @@ def evaluate(
             active_sum += float(rr.active_counts.sum())
             active_cells += rr.active_counts.size
         if trace is not None:
-            if trace_sampling >= 1.0:
-                positions = slice(None)
-            else:
-                positions = np.flatnonzero(sample_rng.random(tt) < trace_sampling)
+            # random() < 1.0 always holds, so trace_sampling 1 keeps every position
+            positions = np.flatnonzero(sample_rng.random(tt) < trace_sampling)
             _record_routes(trace, routes, xs, start, "prefill", positions)
 
     return EvalResult(

@@ -2,7 +2,7 @@
 
 - Tape ops: the per-expert composition that ``moe_block_forward`` is
   checked against scatters and gathers through the tape with these; the
-  library itself runs the fused ``grouped_glu`` instead. ``transpose``
+  library itself runs the block as one fused node. ``transpose``
   serves the per-op attention chain below; the library's fused
   ``causal_attention`` needs no taped transpose.
 - ``silu`` and ``reference_expert_forward``, the gated-linear-unit expert
@@ -30,6 +30,9 @@
   the same CSV and JSON bytes.
 - ``reference_sigmoid_np``, the branching sigmoid: the branch-free
   ``sigmoid_np`` must equal it bit for bit.
+- ``reference_full_softmax_np``, the full softmax as a separate branch:
+  ``softmax`` with no kept set, which runs the kept-set path over every
+  entry, must equal it and its gradient y * (g - sum(g * y)) bit for bit.
 - ``reference_softmax_np``, the masked softmax that zeroed masked entries
   by a boolean scatter, and ``reference_causal_attention``, the per-op tape
   chain (head split, scores, scale, ``mask_fill``, ``sentinel_softmax``,
@@ -88,6 +91,11 @@
   text to ids through a dict lookup per character:
   ``trainer.synthetic_text``'s table lookups must give the same text and
   ``trainer.ingest_text``'s codepoint table the same ids and vocabulary.
+- ``reference_moe_block_forward``, the block as 2 + 2 * ``num_shared`` tape
+  nodes: ``grouped_glu`` (the routed slots as one node), an
+  ``expert_forward`` node and an ``add`` per shared expert, and the residual
+  ``add``. The one-node ``moe_block_forward`` must equal it bit for bit,
+  every gradient and sign of zero included.
 """
 
 import csv
@@ -113,7 +121,11 @@ from beamoe.moe import (
     MoEBlock,
     RouterDecision,
     balance_loss_from,
+    expert_backward,
+    expert_forward,
     expert_runs,
+    group_slots,
+    slot_weights,
     topk_route,
     topk_select,
 )
@@ -136,6 +148,7 @@ from beamoe.tensor import (
     sigmoid_np,
     slice_cols,
     softmax,
+    untaped,
 )
 from beamoe.trainer import CHECKPOINT_MAGIC, _record_routes
 
@@ -366,6 +379,13 @@ def reference_sigmoid_np(x: np.ndarray) -> np.ndarray:
     z = np.exp(-np.abs(x))
     t = 1.0 / (1.0 + z)
     return np.where(x >= 0, t, 1.0 - t)
+
+
+def reference_full_softmax_np(x: np.ndarray) -> np.ndarray:
+    """The full softmax as its own branch, shift by the row max, exp, divide."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def reference_softmax_np(x: np.ndarray, masked_value: float) -> np.ndarray:
@@ -906,3 +926,93 @@ def reference_ingest_text(text: str) -> tuple[np.ndarray, list[str]]:
     lookup = {ch: i for i, ch in enumerate(vocab)}
     ids = np.fromiter((lookup[ch] for ch in text), dtype=np.int64, count=len(text))
     return ids, vocab
+
+
+def grouped_glu(
+    x: Tensor,
+    weights_hat: Tensor,
+    slot_w: np.ndarray,
+    offsets: np.ndarray,
+    token_order: np.ndarray,
+    experts: list[Expert],
+    activation: str = "silu",
+) -> Tensor:
+    """y[r] = sum_e ghat[r, e] * E_e(x[r]) over each expert's rows, as one
+    tape node.
+
+    Expert e's rows, ``token_order[offsets[e]:offsets[e + 1]]`` from
+    ``group_slots``, run through ``expert_forward`` with recording suspended,
+    weighted by ``slot_w`` from ``slot_weights``; y accumulates in ascending
+    expert order. In the backward the weight gradient (g[r] . E_e(x[r]))
+    reaches every slot, zero-weight ones included (the straight-through mask
+    needs it), while ``expert_backward`` differentiates the expert weights
+    and x on the slots with a nonzero weight only.
+    """
+    y = np.zeros(x.shape)
+    saved = []  # (expert id, rows, weights, outputs)
+    bounds = offsets.tolist()
+    with untaped():
+        for e, rows in expert_runs(offsets, token_order):
+            w = slot_w[bounds[e] : bounds[e + 1]]
+            o = expert_forward(Tensor._raw(x.data[rows]), experts[e], activation).data
+            y[rows] += o * w[:, None]
+            saved.append((e, rows, w, o))
+    requires_grad = (
+        x.requires_grad
+        or weights_hat.requires_grad
+        or any(p.requires_grad for e, *_ in saved for p in experts[e].tensors())
+    )
+    out = Tensor._raw(y, requires_grad)
+
+    def rule(g, flow):
+        g_weights = np.zeros(weights_hat.shape)
+        gx = np.zeros(x.shape)
+        for e, rows, w, o in saved:
+            g_rows = g[rows]
+            g_weights[rows, e] = (g_rows * o).sum(axis=-1)
+            live = w != 0.0
+            live_rows = rows[live]
+            g_out = g_rows[live] * w[live, None]
+            gx[live_rows] += expert_backward(x.data[live_rows], g_out, experts[e], activation, flow)
+        _send(flow, weights_hat, g_weights, owned=True)
+        _send(flow, x, gx, owned=True)
+
+    _record(out, rule)
+    return out
+
+
+def reference_moe_block_forward(
+    h: Tensor,
+    weights_hat: Tensor,
+    experts: list[Expert],
+    shared_experts: list[Expert] = (),
+    *,
+    compute_ids: np.ndarray,
+    x_norm: Tensor | None = None,
+    activation: str = "silu",
+) -> Tensor:
+    """The block as 2 + 2 * len(shared_experts) tape nodes: ``grouped_glu``
+    over the routed slots, one ``expert_forward`` node and one ``add`` per
+    shared expert, and the residual ``add``."""
+    t = h.shape[0]
+    n = len(experts)
+    if weights_hat.shape != (t, n):
+        raise ShapeError("weights_hat must be (tokens, num_experts)")
+    slot_ids = np.asarray(compute_ids, dtype=np.int64)
+    if slot_ids.ndim != 2 or slot_ids.shape[0] != t:
+        raise ShapeError("compute_ids must be (tokens, slots)")
+    offsets, token_order = group_slots(slot_ids, n)
+    slot_w = slot_weights(weights_hat.data, offsets, token_order)
+
+    x_norm = h if x_norm is None else x_norm
+
+    y: Tensor | None = None
+    if token_order.size:
+        y = grouped_glu(x_norm, weights_hat, slot_w, offsets, token_order, experts, activation)
+    for e in shared_experts:
+        so = expert_forward(x_norm, e, activation)
+        y = so if y is None else add(y, so)
+
+    if y is None:
+        return h
+    return add(h, y)

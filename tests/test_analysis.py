@@ -710,7 +710,7 @@ def masked_model():
 RUNS = {
     "eval_full": lambda m, ids, t: trainer.evaluate(m, ids, max_windows=10, batch_size=4, trace=t),
     "eval_sampled": lambda m, ids, t: trainer.evaluate(
-        m, ids, max_windows=10, batch_size=4, trace=t, trace_sampling=0.5, trace_seed=3
+        m, ids, max_windows=10, batch_size=4, trace=t, trace_sampling=0.5
     ),
     "greedy": lambda m, ids, t: trainer.sample_greedy(m, ids[:20], 6, trace=t, sequence_id=2),
     "eval_then_greedy": lambda m, ids, t: (

@@ -332,6 +332,26 @@ class TestEvalCommand:
         assert f"max_windows must be >= 1, got {windows}" in capsys.readouterr().err
         assert not Path(cfg["output_dir"]).exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-new-tokens", "5"], "--max-new-tokens needs --greedy"),
+            (["--greedy", "--max-new-tokens", "-3"], "--max-new-tokens must be >= 0, got -3"),
+        ],
+        ids=["without-greedy", "negative"],
+    )
+    def test_decode_flags_that_decode_nothing_exit_2(self, trained, capsys, tmp_path, flags, message):
+        _, out = trained
+        cfg_path, cfg = write_config(tmp_path, name="eval.json", output_dir=str(tmp_path / "eval_out"))
+        trace_out = tmp_path / "t.csv"
+        code = main(
+            ["eval", "--checkpoint", str(out / "checkpoint.bin"), "--config", str(cfg_path),
+             "--trace-out", str(trace_out), *flags]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not trace_out.exists() and not Path(cfg["output_dir"]).exists()
+
     def test_max_new_tokens_zero_prefill_only(self, trained, tmp_path):
         cfg_path, out = trained
         trace_out = tmp_path / "t2.csv"

@@ -27,12 +27,14 @@ from beamoe.tensor import (
     tsum,
 )
 
+import reference_ops
 from reference_ops import (
     check_gradient,
     gather_rc,
     load_balance_loss,
     reference_expert_forward,
     reference_group_slots,
+    reference_moe_block_forward,
     reference_topk_keep,
     reference_topk_route,
     scatter_rows,
@@ -155,8 +157,8 @@ class TestFusedExpertOracle:
             if not x_grad:
                 assert x.grad is None
 
-    def test_shared_experts_record_one_node_each(self, monkeypatch):
-        # the chain records five nodes per silu expert, the fused op one
+    def test_shared_experts_run_untaped_inside_one_node(self, monkeypatch):
+        # the taped chain in place of expert_forward records nothing inside the block
         rng = np.random.default_rng(5)
         t, d_h, d_ff, n = 6, 4, 5, 3
         experts = [make_expert(d_h, d_ff, rng) for _ in range(n)]
@@ -169,17 +171,18 @@ class TestFusedExpertOracle:
 
         def record():
             with Tape() as tape:
+                x_norm = rms_norm(h, norm_w)
+                before = len(tape.nodes)
                 out = moe_block_forward(
-                    h, weights, experts, shared, compute_ids=nonzero_ids(weights),
-                    x_norm=rms_norm(h, norm_w),
+                    h, weights, experts, shared, compute_ids=nonzero_ids(weights), x_norm=x_norm
                 )
-            return out.data, len(tape.nodes)
+            return out.data, len(tape.nodes) - before
 
         out, fused = record()
         monkeypatch.setattr(moe, "expert_forward", reference_expert_forward)
         ref_out, chain = record()
         assert np.array_equal(out, ref_out)
-        assert chain - fused == 8
+        assert fused == chain == 1
 
 
 class TestTopkRoute:
@@ -436,7 +439,7 @@ class TestMoeBlockForward:
         assert check_gradient(f, params, epsilon=1e-5, max_coords=8) < 1e-4
 
 
-class TestGroupedGluOracle:
+class TestPerExpertOracle:
     """moe_block_forward against the per-expert tape composition: forward
     bit-equal, every gradient within 1e-12 relative."""
 
@@ -533,6 +536,86 @@ class TestGroupedGluOracle:
             h, weights_hat, experts, compute_ids=compute_ids, x_norm=rms_norm(h, norm_w)
         )
         assert np.array_equal(out.data, want.data)
+
+
+class TestOneNodeBlockOracle:
+    """moe_block_forward, one tape node, against ``reference_moe_block_forward``,
+    the per-op composition of 2 + 2 * num_shared nodes: output and every
+    gradient bit-equal, signs of zero included, and the same leaves reached."""
+
+    T, D_H, D_FF, N = 9, 5, 6, 5
+
+    def _case(self, seed, num_shared, slots):
+        rng = np.random.default_rng(seed)
+        t, n = self.T, self.N
+        experts = [make_expert(self.D_H, self.D_FF, rng) for _ in range(n)]
+        shared = [make_expert(self.D_H, self.D_FF, rng) for _ in range(num_shared)]
+        h = rng.normal(size=(t, self.D_H))
+        compute_ids = np.stack([rng.choice(4, size=2, replace=False) for _ in range(t)])
+        weights = np.zeros((t, n))
+        np.put_along_axis(weights, compute_ids, rng.uniform(0.1, 1.0, compute_ids.shape), -1)
+        weights[1, compute_ids[1, 0]] = 0.0
+        weights[4, compute_ids[4]] = 0.0
+        if slots == "none":
+            compute_ids[...] = -1
+            weights[...] = 0.0
+        elif slots == "zero_weight":
+            weights[...] = 0.0
+        elif slots == "signed_zeros":
+            # no slot, and -0.0 rows, where x and so every expert output is zero
+            compute_ids[...] = -1
+            weights[...] = 0.0
+            h[::2] = -0.0
+        norm_w = rng.uniform(0.5, 1.5, self.D_H)
+        upstream = rng.normal(size=(t, self.D_H))
+        upstream[::3] = -0.0
+        return h, norm_w, weights, experts, shared, compute_ids, upstream
+
+    @staticmethod
+    def _run(fn, h, norm_w, weights, experts, shared, compute_ids, upstream, with_norm):
+        leaves = [Tensor(h, requires_grad=True), Tensor(norm_w, requires_grad=True)]
+        weights_hat = Tensor(weights, requires_grad=True)
+        params = [p for e in experts + shared for p in e.tensors()]
+        for p in params:
+            p.requires_grad = True
+            p.grad = None
+        with Tape() as tape:
+            x_norm = rms_norm(leaves[0], leaves[1]) if with_norm else None
+            if with_norm == "zero_rows":
+                x_norm = mul(x_norm, Tensor((np.arange(len(h)) % 2 == 1)[:, None] * 1.0))
+            before = len(tape.nodes)
+            out = fn(
+                leaves[0], weights_hat, experts, shared, compute_ids=compute_ids, x_norm=x_norm
+            )
+            nodes = len(tape.nodes) - before
+            tape.backward(tsum(mul(out, Tensor(upstream))))
+        return out.data, nodes, [p.grad for p in leaves + [weights_hat] + params]
+
+    @pytest.mark.parametrize("with_norm", [None, "rms", "zero_rows"])
+    @pytest.mark.parametrize("slots", ["drawn", "none", "zero_weight", "signed_zeros"])
+    @pytest.mark.parametrize("num_shared", [0, 1, 2])
+    def test_equals_per_op_composition(self, num_shared, slots, with_norm, monkeypatch):
+        case = self._case(40 + num_shared, num_shared, slots)
+        if slots == "signed_zeros":
+            # a matmul never returns -0.0; signing the zero outputs checks
+            # that no +0.0 is added to them before the residual
+            real = moe.expert_forward
+
+            def signed(x, expert, activation="silu"):
+                out = real(x, expert, activation)
+                out.data[out.data == 0.0] = -0.0
+                return out
+
+            monkeypatch.setattr(moe, "expert_forward", signed)
+            monkeypatch.setattr(reference_ops, "expert_forward", signed)
+        out, nodes, grads = self._run(moe_block_forward, *case, with_norm)
+        ref_out, _, ref_grads = self._run(reference_moe_block_forward, *case, with_norm)
+        assert _bit_equal(out, ref_out)
+        assert nodes == (0 if slots in ("none", "signed_zeros") and num_shared == 0 else 1)
+        for i, (got, want) in enumerate(zip(grads, ref_grads)):
+            assert (got is None) == (want is None), i
+            if want is not None:
+                assert _bit_equal(got, want), i
 
 
 def _runs(offsets, token_order):

@@ -38,6 +38,7 @@ from reference_ops import (
     reference_causal_masks,
     reference_rms_norm_np,
     reference_sigmoid_np,
+    reference_full_softmax_np,
     reference_softmax_np,
     scatter_rows,
     sentinel_softmax,
@@ -228,6 +229,25 @@ class TestSoftmax:
         assert not np.signbit(got[~keep]).any()
         got = softmax_np(np.array([[np.nan, 1.0, 2.0]]), np.array([[True, True, False]]))
         assert np.isnan(got[0, :2]).all() and got[0, 2] == 0.0 and not np.signbit(got[0, 2])
+
+
+    def test_no_kept_set_equals_full_softmax_branch(self):
+        rng = np.random.default_rng(31)
+        edges = np.array(
+            [[np.inf, 1.0, 2.0], [-np.inf, -np.inf, 0.0], [-np.inf] * 3, [np.nan, 0.0, 1.0], [5.0] * 3]
+        )
+        with np.errstate(invalid="ignore"):
+            got, want = softmax(Tensor._raw(edges)).data, reference_full_softmax_np(edges)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for x in (rng.normal(0.0, 30.0, (64, 8)), rng.normal(size=(2, 5, 3)), edges[1:2]):
+            upstream = rng.normal(size=x.shape)
+            t = Tensor._raw(x, requires_grad=True)  # a -inf logit is allowed
+            backward(lambda t: tsum(mul(softmax(t), upstream)), t)
+            want = reference_full_softmax_np(x)
+            want_grad = want * (upstream - (upstream * want).sum(axis=-1, keepdims=True))
+            for a, b in ((softmax(t).data, want), (t.grad, want_grad)):
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def _attention_grads(op, q, k, v, n_heads, upstream):
